@@ -1,9 +1,9 @@
 //! Experiment infrastructure: result tables and a parallel trial runner.
 
-use parking_lot::Mutex;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::Mutex;
 
 /// A result table with aligned text rendering and CSV export — the output
 /// format of every experiment binary (DESIGN.md §3).
@@ -183,6 +183,11 @@ pub fn stats(samples: &[f64]) -> Stats {
 /// each trial a distinct deterministic seed derived from `base_seed`.
 /// Results are returned in trial order, so the whole computation is
 /// reproducible regardless of scheduling.
+///
+/// # Panics
+///
+/// Panics if any trial panics — after every worker has stopped, and never
+/// with partial results.
 pub fn parallel_trials<F>(trials: usize, base_seed: u64, f: F) -> Vec<f64>
 where
     F: Fn(u64) -> f64 + Sync,
@@ -193,9 +198,9 @@ where
         .map(|n| n.get())
         .unwrap_or(4)
         .min(trials.max(1));
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= trials {
                     break;
@@ -203,12 +208,11 @@ where
                 let value = f(base_seed
                     .wrapping_add(i as u64)
                     .wrapping_mul(0x9e3779b97f4a7c15));
-                results.lock()[i] = value;
+                results.lock().expect("trial worker panicked")[i] = value;
             });
         }
-    })
-    .expect("trial worker panicked");
-    results.into_inner()
+    });
+    results.into_inner().expect("trial worker panicked")
 }
 
 #[cfg(test)]
@@ -263,6 +267,16 @@ mod tests {
         assert_eq!(a.len(), 64);
         // Single trial works too.
         assert_eq!(parallel_trials(1, 7, |_| 3.0), vec![3.0]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn parallel_trials_propagates_a_trial_panic() {
+        let poison = 42u64.wrapping_add(5).wrapping_mul(0x9e3779b97f4a7c15);
+        parallel_trials(16, 42, |seed| {
+            assert_ne!(seed, poison, "trial 5 fails");
+            1.0
+        });
     }
 
     #[test]

@@ -145,41 +145,6 @@ impl WorkloadSpec<u64> for Scenario {
     }
 }
 
-/// A named stream to sweep over.
-#[deprecated(
-    note = "use `FixedWorkload` (same shape) or any `WorkloadSpec` implementation; \
-            this shim is kept for one release"
-)]
-#[derive(Debug, Clone)]
-pub struct SweepWorkload {
-    /// Label for result tables.
-    pub name: String,
-    /// The stream itself.
-    pub stream: Vec<u64>,
-}
-
-#[allow(deprecated)]
-impl SweepWorkload {
-    /// Creates a named workload.
-    pub fn new(name: impl Into<String>, stream: Vec<u64>) -> Self {
-        Self {
-            name: name.into(),
-            stream,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl WorkloadSpec<u64> for SweepWorkload {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn generate(&self, _seed: u64) -> Vec<u64> {
-        self.stream.clone()
-    }
-}
-
 /// Key types the sweep can run over: each provides its registry slice.
 ///
 /// `u64` uses the full [`registry`] (including the universe-sampling
@@ -655,23 +620,5 @@ mod tests {
         assert!(result.rows.iter().all(|r| r.mean_err.is_some()));
         let row = result.find("pmg", "words-5000", 16, 0).unwrap();
         assert!(row.mean_err.unwrap() > 0.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_sweep_workload_shim_still_runs() {
-        // One-release compatibility: the old eager type must keep working
-        // and produce the same rows as its FixedWorkload replacement.
-        let config = SweepConfig::new(vec![params()])
-            .with_ks(vec![8])
-            .with_trials(4)
-            .with_mechanisms(vec!["pmg"]);
-        let old = run_sweep(&config, &[SweepWorkload::new("w", heavy_stream())]);
-        let new = run_sweep(&config, &[FixedWorkload::new("w", heavy_stream())]);
-        assert_eq!(old.rows.len(), new.rows.len());
-        for (o, n) in old.rows.iter().zip(new.rows.iter()) {
-            assert_eq!(o.mean_err, n.mean_err);
-            assert_eq!(o.p95_err, n.p95_err);
-        }
     }
 }

@@ -50,21 +50,6 @@ impl Routing {
     }
 }
 
-/// How batch blocks travel from the router to the shard workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Handoff {
-    /// Bounded SPSC block ring per (router, shard) pair with a return
-    /// ring recycling spent blocks, so steady-state ingestion allocates
-    /// nothing ([`crate::ring`]). The default.
-    Ring,
-    /// The legacy `std::sync::mpsc`-backed channel (vendored `crossbeam`
-    /// shim) with an unbounded return channel as the block free-list.
-    /// Kept as the reference implementation the ring is differential-
-    /// tested against and as a fallback should a future multi-producer
-    /// topology need it.
-    Mpsc,
-}
-
 /// Which trusted-aggregator mechanism performs the single DP release.
 ///
 /// A convenience subset of the full `dpmg-core` mechanism registry — each
@@ -121,18 +106,12 @@ pub struct PipelineConfig {
     pub routing: Routing,
     /// Release mechanism.
     pub release: ReleaseKind,
-    /// Router→worker handoff implementation.
-    pub handoff: Handoff,
-    /// Advisory request to pin shard workers to distinct cores
-    /// ([`crate::affinity`]); a no-op on builds without an affinity
-    /// backend.
-    pub pin_workers: bool,
 }
 
 impl PipelineConfig {
     /// A configuration with `shards` workers of sketch size `k` and the
     /// defaults: batch size 1024, channel capacity 8, [`Routing::HashKey`],
-    /// [`ReleaseKind::TrustedGshm`], [`Handoff::Ring`], unpinned workers.
+    /// [`ReleaseKind::TrustedGshm`].
     pub fn new(shards: usize, k: usize) -> Self {
         Self {
             shards,
@@ -141,8 +120,6 @@ impl PipelineConfig {
             channel_capacity: 8,
             routing: Routing::HashKey,
             release: ReleaseKind::TrustedGshm,
-            handoff: Handoff::Ring,
-            pin_workers: false,
         }
     }
 
@@ -167,19 +144,6 @@ impl PipelineConfig {
     /// Sets the release mechanism.
     pub fn with_release(mut self, release: ReleaseKind) -> Self {
         self.release = release;
-        self
-    }
-
-    /// Sets the router→worker handoff implementation.
-    pub fn with_handoff(mut self, handoff: Handoff) -> Self {
-        self.handoff = handoff;
-        self
-    }
-
-    /// Requests core-pinned shard workers (advisory; see
-    /// [`crate::affinity`]).
-    pub fn with_pinned_workers(mut self, pin: bool) -> Self {
-        self.pin_workers = pin;
         self
     }
 
@@ -345,8 +309,6 @@ mod tests {
         assert_eq!(c.routing, Routing::HashKey);
         assert_eq!(c.release, ReleaseKind::TrustedGshm);
         assert_eq!(c.batch_size, 1024);
-        assert_eq!(c.handoff, Handoff::Ring);
-        assert!(!c.pin_workers);
     }
 
     #[test]
@@ -355,15 +317,11 @@ mod tests {
             .with_batch_size(7)
             .with_channel_capacity(3)
             .with_routing(Routing::RoundRobin)
-            .with_release(ReleaseKind::TrustedLaplace)
-            .with_handoff(Handoff::Mpsc)
-            .with_pinned_workers(true);
+            .with_release(ReleaseKind::TrustedLaplace);
         assert_eq!(c.batch_size, 7);
         assert_eq!(c.channel_capacity, 3);
         assert_eq!(c.routing, Routing::RoundRobin);
         assert_eq!(c.release, ReleaseKind::TrustedLaplace);
-        assert_eq!(c.handoff, Handoff::Mpsc);
-        assert!(c.pin_workers);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! The sharded ingestion engine.
 
-use crate::affinity;
-use crate::config::{Handoff, PipelineConfig, PipelineError, Routing};
+use crate::config::{PipelineConfig, PipelineError, Routing};
 use crate::ring;
-use crossbeam::channel;
 use dpmg_core::mechanism::ReleaseMechanism;
 use dpmg_core::pmg::PrivateHistogram;
 use dpmg_noise::accounting::PrivacyParams;
@@ -67,50 +65,26 @@ pub fn shard_of_key<K: Hash + ?Sized>(key: &K, shards: usize) -> usize {
     (h.finish() % shards as u64) as usize
 }
 
-/// Router-side endpoints of one shard's handoff: a forward path carrying
-/// filled batch blocks to the worker and a return path yielding the spent
-/// (cleared, capacity kept) blocks back for reuse, so both handoff
-/// implementations recycle instead of allocating per batch. Dropping a
-/// link disconnects the forward path, which ends the worker's drain loop.
-enum ShardLink<K> {
-    /// Bounded SPSC block rings ([`Handoff::Ring`], the default).
-    Ring {
-        tx: ring::RingSender<Vec<K>>,
-        spare: ring::RingReceiver<Vec<K>>,
-    },
-    /// The legacy mpsc-backed channels ([`Handoff::Mpsc`]): bounded
-    /// forward channel, unbounded return channel as the block free-list.
-    Mpsc {
-        tx: channel::Sender<Vec<K>>,
-        spare: channel::Receiver<Vec<K>>,
-    },
+/// Router-side endpoints of one shard's handoff: a bounded SPSC ring
+/// carrying filled batch blocks to the worker and a return ring yielding
+/// the spent (cleared, capacity kept) blocks back for reuse, so the router
+/// recycles instead of allocating per batch. Dropping a link disconnects
+/// the forward ring, which ends the worker's drain loop.
+struct ShardLink<K> {
+    tx: ring::RingSender<Vec<K>>,
+    spare: ring::RingReceiver<Vec<K>>,
 }
 
 impl<K> ShardLink<K> {
-    /// Sends a filled block to the worker, blocking on backpressure;
-    /// returns `Err` iff the worker is gone (panicked).
-    fn send(&mut self, block: Vec<K>) -> Result<(), ()> {
-        match self {
-            ShardLink::Ring { tx, .. } => tx.send(block).map_err(|_| ()),
-            ShardLink::Mpsc { tx, .. } => tx.send(block).map_err(|_| ()),
-        }
-    }
-
-    /// A block ready for filling: a recycled one off the return path when
+    /// A block ready for filling: a recycled one off the return ring when
     /// available (the steady state — no allocation), else a fresh
     /// allocation (cold start, or a worker that died with blocks in hand).
     fn recycled(&mut self, min_capacity: usize) -> Vec<K> {
-        let spare = match self {
-            ShardLink::Ring { spare, .. } => spare.try_recv().ok(),
-            ShardLink::Mpsc { spare, .. } => spare.try_recv().ok(),
+        let Ok(block) = self.spare.try_recv() else {
+            return Vec::with_capacity(min_capacity);
         };
-        match spare {
-            Some(block) => {
-                debug_assert!(block.is_empty(), "workers return cleared blocks");
-                block
-            }
-            None => Vec::with_capacity(min_capacity),
-        }
+        debug_assert!(block.is_empty(), "workers return cleared blocks");
+        block
     }
 }
 
@@ -156,82 +130,47 @@ pub struct ShardedPipeline<K: Item + Send + 'static> {
     poisoned: Option<usize>,
 }
 
-/// Handoff links + worker handles of one generation of shard workers.
-type ShardWorkers<K> = (Vec<ShardLink<K>>, Vec<JoinHandle<MisraGries<K>>>);
-
 impl<K: Item + Send + 'static> ShardedPipeline<K> {
-    fn spawn_workers(config: &PipelineConfig) -> Result<ShardWorkers<K>, PipelineError> {
-        let sketches = (0..config.shards)
+    /// One empty sketch per shard.
+    fn fresh_sketches(config: &PipelineConfig) -> Result<Vec<MisraGries<K>>, PipelineError> {
+        Ok((0..config.shards)
             .map(|_| MisraGries::new(config.k))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::spawn_workers_with(config, sketches))
+            .collect::<Result<Vec<_>, _>>()?)
     }
 
-    /// Spawns one worker per sketch, each continuing from the given sketch
-    /// state — the crash-recovery and checkpoint respawn path. Fresh
-    /// workers are the `MisraGries::new` special case.
-    fn spawn_workers_with(
-        config: &PipelineConfig,
-        sketches: Vec<MisraGries<K>>,
-    ) -> ShardWorkers<K> {
+    /// Spawns a new worker generation, one worker per sketch, each
+    /// continuing from the given sketch state — fresh workers are the
+    /// `MisraGries::new` special case. The previous generation must
+    /// already be retired.
+    fn spawn_workers(&mut self, sketches: Vec<MisraGries<K>>) {
+        let config = self.config;
         debug_assert_eq!(sketches.len(), config.shards);
-        let mut links = Vec::with_capacity(config.shards);
-        let mut workers = Vec::with_capacity(config.shards);
-        let pin = config.pin_workers;
+        debug_assert!(self.links.is_empty() && self.workers.is_empty());
         for (shard, mut sketch) in sketches.into_iter().enumerate() {
-            let builder = std::thread::Builder::new().name(format!("dpmg-shard-{shard}"));
-            let handle = match config.handoff {
-                Handoff::Ring => {
-                    let (tx, mut rx) = ring::bounded::<Vec<K>>(config.channel_capacity);
-                    // Return-ring sizing: per shard at most `capacity + 3`
-                    // blocks ever circulate (the router mints one only
-                    // when the return ring is empty at dispatch, and at
-                    // that moment the buffer, forward ring and worker
-                    // hold ≤ capacity + 2 of them), so with the worker
-                    // holding one and the router's buffer another, return
-                    // occupancy never exceeds `capacity + 2`: the
-                    // worker's give-back below can never block.
-                    let (mut ret_tx, spare) = ring::bounded::<Vec<K>>(config.channel_capacity + 2);
-                    let handle = builder
-                        .spawn(move || {
-                            if pin {
-                                affinity::pin_current_thread(shard);
-                            }
-                            while let Ok(mut block) = rx.recv() {
-                                sketch.extend_batch(&block);
-                                block.clear();
-                                // Router gone (teardown): recycling moot.
-                                let _ = ret_tx.send(block);
-                            }
-                            sketch
-                        })
-                        .expect("spawn shard worker thread");
-                    links.push(ShardLink::Ring { tx, spare });
-                    handle
-                }
-                Handoff::Mpsc => {
-                    let (tx, rx) = channel::bounded::<Vec<K>>(config.channel_capacity);
-                    let (ret_tx, spare) = channel::unbounded::<Vec<K>>();
-                    let handle = builder
-                        .spawn(move || {
-                            if pin {
-                                affinity::pin_current_thread(shard);
-                            }
-                            for mut block in rx {
-                                sketch.extend_batch(&block);
-                                block.clear();
-                                let _ = ret_tx.send(block);
-                            }
-                            sketch
-                        })
-                        .expect("spawn shard worker thread");
-                    links.push(ShardLink::Mpsc { tx, spare });
-                    handle
-                }
-            };
-            workers.push(handle);
+            let (tx, mut rx) = ring::bounded::<Vec<K>>(config.channel_capacity);
+            // Return-ring sizing: per shard at most `capacity + 3` blocks
+            // ever circulate (the router mints one only when the return
+            // ring is empty at dispatch, and at that moment the buffer,
+            // forward ring and worker hold ≤ capacity + 2 of them), so with
+            // the worker holding one and the router's buffer another,
+            // return occupancy never exceeds `capacity + 2`: the worker's
+            // give-back below can never block.
+            let (mut ret_tx, spare) = ring::bounded::<Vec<K>>(config.channel_capacity + 2);
+            let handle = std::thread::Builder::new()
+                .name(format!("dpmg-shard-{shard}"))
+                .spawn(move || {
+                    while let Ok(mut block) = rx.recv() {
+                        sketch.extend_batch(&block);
+                        block.clear();
+                        // Router gone (teardown): recycling moot.
+                        let _ = ret_tx.send(block);
+                    }
+                    sketch
+                })
+                .expect("spawn shard worker thread");
+            self.links.push(ShardLink { tx, spare });
+            self.workers.push(handle);
         }
-        (links, workers)
     }
 
     /// Spawns the shard workers.
@@ -242,20 +181,8 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
     /// invalid sketch size.
     pub fn new(config: PipelineConfig) -> Result<Self, PipelineError> {
         config.validate()?;
-        let (links, workers) = Self::spawn_workers(&config)?;
-        Ok(Self {
-            buffers: vec![Vec::with_capacity(config.batch_size); config.shards],
-            links,
-            workers,
-            rr_cursor: 0,
-            items: 0,
-            batches: 0,
-            shard_lens: Vec::new(),
-            summaries: None,
-            carry: None,
-            poisoned: None,
-            config,
-        })
+        let sketches = Self::fresh_sketches(&config)?;
+        Self::with_initial_sketches(config, sketches, 0, None)
     }
 
     /// Spawns the shard workers **continuing from restored sketch states**
@@ -288,11 +215,10 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
                 ),
             ));
         }
-        let (links, workers) = Self::spawn_workers_with(&config, sketches);
-        Ok(Self {
+        let mut pipe = Self {
             buffers: vec![Vec::with_capacity(config.batch_size); config.shards],
-            links,
-            workers,
+            links: Vec::with_capacity(config.shards),
+            workers: Vec::with_capacity(config.shards),
             rr_cursor: 0,
             items,
             batches: 0,
@@ -301,7 +227,9 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
             carry,
             poisoned: None,
             config,
-        })
+        };
+        pipe.spawn_workers(sketches);
+        Ok(pipe)
     }
 
     /// The configuration in use.
@@ -359,7 +287,7 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
         let fresh = self.links[shard].recycled(self.config.batch_size);
         let batch = std::mem::replace(&mut self.buffers[shard], fresh);
         self.batches += 1;
-        self.links[shard].send(batch).map_err(|()| {
+        self.links[shard].tx.send(batch).map_err(|_| {
             // The receiver is gone, so the worker panicked; the batch is
             // lost and the pipeline must not pretend otherwise later.
             self.poisoned = Some(shard);
@@ -513,9 +441,7 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
     pub fn rotate_epoch(&mut self) -> Result<(Summary<K>, PipelineStats), PipelineError> {
         let merged = self.merged()?;
         let stats = self.stats();
-        let (links, workers) = Self::spawn_workers(&self.config)?;
-        self.links = links;
-        self.workers = workers;
+        self.spawn_workers(Self::fresh_sketches(&self.config)?);
         self.buffers = vec![Vec::with_capacity(self.config.batch_size); self.config.shards];
         self.rr_cursor = 0;
         self.items = 0;
@@ -549,13 +475,19 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::InvalidShards`] for `new_shards = 0`;
-    /// [`PipelineError::AlreadyFinished`] after [`Self::finish`]; worker
-    /// panics as [`Self::finish`]. A poisoned pipeline stays poisoned.
+    /// Any [`PipelineConfig::validate`] error of the configuration at
+    /// `new_shards` — [`PipelineError::InvalidShards`] for `new_shards = 0`,
+    /// [`PipelineError::InvalidShardRange`] when a [`Routing::HashKeyRange`]
+    /// block would no longer fit its global shard space — refused before
+    /// any worker is touched; [`PipelineError::AlreadyFinished`] after
+    /// [`Self::finish`]; worker panics as [`Self::finish`]. A poisoned
+    /// pipeline stays poisoned.
     pub fn reshard(&mut self, new_shards: usize) -> Result<(), PipelineError> {
-        if new_shards == 0 {
-            return Err(PipelineError::InvalidShards(0));
-        }
+        let resharded = PipelineConfig {
+            shards: new_shards,
+            ..self.config
+        };
+        resharded.validate()?;
         if let Some(shard) = self.poisoned {
             return Err(PipelineError::WorkerPanicked { shard });
         }
@@ -573,10 +505,8 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
                 None => shard_merged,
             });
         }
-        self.config.shards = new_shards;
-        let (links, workers) = Self::spawn_workers(&self.config)?;
-        self.links = links;
-        self.workers = workers;
+        self.config = resharded;
+        self.spawn_workers(Self::fresh_sketches(&self.config)?);
         self.buffers = vec![Vec::with_capacity(self.config.batch_size); self.config.shards];
         self.rr_cursor = 0;
         self.shard_lens = Vec::new();
@@ -606,9 +536,7 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
             return Err(PipelineError::AlreadyFinished);
         }
         let sketches = self.retire_workers()?;
-        let (links, workers) = Self::spawn_workers_with(&self.config, sketches.clone());
-        self.links = links;
-        self.workers = workers;
+        self.spawn_workers(sketches.clone());
         Ok(sketches)
     }
 
@@ -811,6 +739,39 @@ mod tests {
             pipe.reshard(4),
             Err(PipelineError::AlreadyFinished)
         ));
+    }
+
+    #[test]
+    fn reshard_refuses_a_block_outside_the_global_shard_space() {
+        // Shards [6, 8) of an 8-shard space: widening to 4 would claim
+        // [6, 10). The refusal is atomic — workers, carry and counters
+        // stay as they were and ingestion continues at 2 shards.
+        let routing = Routing::HashKeyRange {
+            total_shards: 8,
+            first_shard: 6,
+        };
+        let config = PipelineConfig::new(2, 8).with_routing(routing);
+        let owned: Vec<u64> = (0..400u64)
+            .filter(|key| shard_of_key(key, 8) >= 6)
+            .collect();
+        let (before, after) = owned.split_at(owned.len() / 2);
+        let mut pipe = ShardedPipeline::<u64>::new(config).unwrap();
+        pipe.ingest_from(before.iter().copied()).unwrap();
+        assert!(matches!(
+            pipe.reshard(4),
+            Err(PipelineError::InvalidShardRange {
+                total_shards: 8,
+                first_shard: 6,
+                shards: 4,
+            })
+        ));
+        assert_eq!(pipe.config().shards, 2);
+        assert!(pipe.carry().is_none());
+        assert_eq!(pipe.stats().items, before.len() as u64);
+        pipe.ingest_from(after.iter().copied()).unwrap();
+        let mut fresh = ShardedPipeline::<u64>::new(config).unwrap();
+        fresh.ingest_from(owned.iter().copied()).unwrap();
+        assert_eq!(pipe.merged().unwrap(), fresh.merged().unwrap());
     }
 
     #[test]

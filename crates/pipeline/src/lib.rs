@@ -15,9 +15,10 @@
 //! [`MisraGries::extend_batch`](dpmg_sketch::misra_gries::MisraGries::extend_batch)
 //! hot path. Batch blocks travel over a bounded SPSC block [`ring`] per
 //! shard, paired with a return ring (the `⇄`) that recycles spent blocks,
-//! so steady-state ingestion allocates nothing; [`Handoff::Mpsc`] selects
-//! the legacy `std::sync::mpsc`-backed channels (with their own free-list
-//! recycling) as the differential-testing reference. When ingestion finishes, the per-shard summaries are combined
+//! so steady-state ingestion allocates nothing. The single-threaded
+//! [`sequential_sharded_reference`] replays the same routing and merge
+//! shape inline and is the differential-testing oracle for the threaded
+//! engine. When ingestion finishes, the per-shard summaries are combined
 //! with the binary merge tree of
 //! [`sketch::merge`](dpmg_sketch::merge::merge_tree) and released **once**
 //! through the trusted-aggregator mechanisms of
@@ -75,13 +76,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod affinity;
 pub mod config;
 pub mod engine;
 pub mod mechanism;
 pub mod ring;
 
-pub use config::{Handoff, PipelineConfig, PipelineError, ReleaseKind, Routing};
+pub use config::{PipelineConfig, PipelineError, ReleaseKind, Routing};
 pub use engine::{shard_of_key, PipelineStats, ShardedPipeline};
 pub use mechanism::{
     sequential_sharded_reference, PrivatizedPipeline, SequentialBaseline, StreamingMechanism,

@@ -5,8 +5,7 @@
 //! (router, shard) pair: a forward ring carrying filled batch blocks to
 //! the worker and a return ring carrying the spent (cleared, capacity
 //! kept) blocks back, so steady-state ingestion recycles a fixed pool of
-//! `Vec<K>` blocks instead of allocating one per batch like the
-//! `std::sync::mpsc`-backed fallback does.
+//! `Vec<K>` blocks instead of allocating one per batch.
 //!
 //! # Design
 //!
@@ -52,8 +51,8 @@
 //! Dropping the receiver makes every subsequent [`RingSender::send`] fail
 //! with the value returned; dropping the sender lets the receiver drain
 //! the buffered values and then fail with [`RecvError`]. A worker panic
-//! therefore surfaces exactly like on the mpsc path: the router's next
-//! `send` to that shard errors and poisons the pipeline.
+//! therefore surfaces as a failed `send` from the router to that shard,
+//! which poisons the pipeline.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};

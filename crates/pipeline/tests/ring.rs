@@ -5,7 +5,7 @@
 //! hand the router a block that still aliases live (unconsumed) data.
 
 use dpmg_pipeline::ring;
-use dpmg_pipeline::{Handoff, PipelineConfig, Routing, ShardedPipeline};
+use dpmg_pipeline::{sequential_sharded_reference, PipelineConfig, Routing, ShardedPipeline};
 use proptest::prelude::*;
 use std::sync::mpsc;
 
@@ -144,28 +144,29 @@ proptest! {
 /// High-contention stress: tiny rings (capacity 1–2), a router that is
 /// faster than the workers, threads genuinely racing. Checks end-to-end
 /// content integrity through the engine, under both tiny forward-ring
-/// capacities, against the mpsc fallback's result on the same stream.
+/// capacities, against the single-threaded sequential reference on the
+/// same stream: every per-shard summary and the merged summary.
 #[test]
 fn tiny_capacity_contention_stress() {
     let stream: Vec<u64> = (0..120_000u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9) >> 7)
         .collect();
+    let (ref_summaries, ref_merged) = sequential_sharded_reference(&stream, 4, 32);
     for capacity in [1usize, 2] {
         let config = PipelineConfig::new(4, 32)
             .with_batch_size(64)
             .with_channel_capacity(capacity);
-        let mut ring_pipe = ShardedPipeline::new(config).unwrap();
-        ring_pipe.ingest_from(stream.iter().copied()).unwrap();
-        let mut mpsc_pipe = ShardedPipeline::new(config.with_handoff(Handoff::Mpsc)).unwrap();
-        mpsc_pipe.ingest_from(stream.iter().copied()).unwrap();
+        let mut pipe = ShardedPipeline::new(config).unwrap();
+        pipe.ingest_from(stream.iter().copied()).unwrap();
         assert_eq!(
-            ring_pipe.merged().unwrap(),
-            mpsc_pipe.merged().unwrap(),
-            "handoffs diverged at capacity {capacity}"
+            pipe.shard_summaries().unwrap(),
+            &ref_summaries[..],
+            "shard summaries diverged at capacity {capacity}"
         );
         assert_eq!(
-            ring_pipe.stats().shard_stream_lens,
-            mpsc_pipe.stats().shard_stream_lens
+            pipe.merged().unwrap(),
+            ref_merged,
+            "merged summary diverged at capacity {capacity}"
         );
     }
 }

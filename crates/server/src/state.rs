@@ -5,9 +5,8 @@
 //! [`QueryHandle`] that follows the service's lock-free snapshot chain, so
 //! query throughput scales with handler threads while mutations
 //! (`/ingest`, `/epoch/end`) serialize through one `std::sync::Mutex`.
-//! `std`'s mutex is chosen deliberately over the vendored `parking_lot`:
-//! its poisoning is the signal the API maps to `503 Service Unavailable`
-//! when a handler dies mid-mutation.
+//! `std`'s mutex is chosen deliberately: its poisoning is the signal the
+//! API maps to `503 Service Unavailable` when a handler dies mid-mutation.
 
 use crate::metrics::Metrics;
 use crate::tenant::TenantRegistry;

@@ -2,7 +2,7 @@
 
 use dpmg_core::mechanism::ReleaseError;
 use dpmg_noise::NoiseError;
-use dpmg_pipeline::{Handoff, PipelineConfig, PipelineError};
+use dpmg_pipeline::{PipelineConfig, PipelineError};
 use dpmg_sketch::traits::SketchError;
 
 /// How the per-epoch releases compose over the service's lifetime.
@@ -59,10 +59,6 @@ pub struct ServiceConfig {
     pub epoch_len: Option<u64>,
     /// Release composition across epochs.
     pub mode: ServiceMode,
-    /// Router→worker handoff implementation of the ingestion pipeline
-    /// (bit-identical results either way; [`Handoff::Ring`] is the
-    /// allocation-free default, [`Handoff::Mpsc`] the reference).
-    pub handoff: Handoff,
 }
 
 impl ServiceConfig {
@@ -77,7 +73,6 @@ impl ServiceConfig {
             channel_capacity: 8,
             epoch_len: None,
             mode: ServiceMode::Independent,
-            handoff: Handoff::Ring,
         }
     }
 
@@ -105,12 +100,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the pipeline's router→worker handoff implementation.
-    pub fn with_handoff(mut self, handoff: Handoff) -> Self {
-        self.handoff = handoff;
-        self
-    }
-
     /// The pipeline configuration the ingestion engine runs with. Routing
     /// is always key-hash — the service performs DP releases, and only
     /// key-based routing supports the Section 7 sensitivity argument.
@@ -118,7 +107,6 @@ impl ServiceConfig {
         PipelineConfig::new(self.shards, self.k)
             .with_batch_size(self.batch_size)
             .with_channel_capacity(self.channel_capacity)
-            .with_handoff(self.handoff)
     }
 
     /// Checks the structural parameters.
@@ -246,20 +234,17 @@ mod tests {
         assert!(c.validate().is_ok());
         assert_eq!(c.mode, ServiceMode::Independent);
         assert_eq!(c.epoch_len, None);
-        assert_eq!(c.handoff, Handoff::Ring);
         let c = c
             .with_batch_size(7)
             .with_channel_capacity(3)
             .with_epoch_len(500)
-            .with_mode(ServiceMode::Continual { max_epochs: 16 })
-            .with_handoff(Handoff::Mpsc);
+            .with_mode(ServiceMode::Continual { max_epochs: 16 });
         assert_eq!(c.batch_size, 7);
         assert_eq!(c.channel_capacity, 3);
         assert_eq!(c.epoch_len, Some(500));
         assert_eq!(c.mode, ServiceMode::Continual { max_epochs: 16 });
         assert!(c.validate().is_ok());
         assert_eq!(c.pipeline_config().batch_size, 7);
-        assert_eq!(c.pipeline_config().handoff, Handoff::Mpsc);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! cargo run --release --example distributed_aggregation
 //! ```
 
-use crossbeam::channel;
 use dp_misra_gries::core::mechanism::by_name;
 use dp_misra_gries::core::merged::release_untrusted;
 use dp_misra_gries::prelude::*;
@@ -28,6 +27,7 @@ use dp_misra_gries::sketch::serialize::{decode, encode};
 use dp_misra_gries::workload::traces::query_log;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::mpsc;
 
 const SERVERS: usize = 8;
 const K: usize = 256;
@@ -46,11 +46,11 @@ fn main() {
     println!("{SERVERS} servers, {total} queries total");
 
     // --- Workers sketch their shards and ship serialized summaries. ------
-    let (tx, rx) = channel::bounded::<Vec<u8>>(SERVERS);
-    crossbeam::scope(|scope| {
+    let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(SERVERS);
+    std::thread::scope(|scope| {
         for shard in &shards {
             let tx = tx.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut sketch = MisraGries::new(K).unwrap();
                 sketch.extend(shard.iter().copied());
                 let bytes = encode(&sketch.summary());
@@ -132,6 +132,5 @@ fn main() {
             untrusted.estimate(top_key)
         );
         println!("\ndistributed_aggregation OK");
-    })
-    .expect("worker panicked");
+    });
 }

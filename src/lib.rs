@@ -95,8 +95,7 @@ pub mod prelude {
     };
     pub use dpmg_noise::accounting::{Accountant, PrivacyParams};
     pub use dpmg_pipeline::{
-        Handoff, PipelineConfig, PrivatizedPipeline, SequentialBaseline, ShardedPipeline,
-        StreamingMechanism,
+        PipelineConfig, PrivatizedPipeline, SequentialBaseline, ShardedPipeline, StreamingMechanism,
     };
     pub use dpmg_server::{AppState, Server, ServerConfig, ServiceBackend, TenantRegistry};
     pub use dpmg_service::{

@@ -5,10 +5,9 @@
 use dp_misra_gries::eval::experiment::parallel_trials;
 use dp_misra_gries::pipeline::sequential_sharded_reference;
 use dp_misra_gries::prelude::*;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::Mutex;
 
 /// Eight pipeline shard workers ingest a 400k-item stream over channels;
 /// every per-shard summary, the merged summary, and the final release
@@ -55,12 +54,12 @@ fn threaded_aggregation_matches_sequential_reference() {
 /// sharing) and the result equals a sequential run over the concatenation.
 #[test]
 fn shared_sketch_under_mutex_is_consistent() {
-    let sketch = Arc::new(Mutex::new(MisraGries::<u64>::new(64).unwrap()));
+    let sketch = Mutex::new(MisraGries::<u64>::new(64).unwrap());
     let per_thread = 20_000u64;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..4u64 {
-            let sketch = Arc::clone(&sketch);
-            scope.spawn(move |_| {
+            let sketch = &sketch;
+            scope.spawn(move || {
                 for i in 0..per_thread {
                     // Heavy key 7 plus thread-local tail.
                     let x = if i % 2 == 0 {
@@ -68,13 +67,12 @@ fn shared_sketch_under_mutex_is_consistent() {
                     } else {
                         100 + t * 1_000 + i % 50
                     };
-                    sketch.lock().update(x);
+                    sketch.lock().unwrap().update(x);
                 }
             });
         }
-    })
-    .unwrap();
-    let sketch = sketch.lock();
+    });
+    let sketch = sketch.into_inner().unwrap();
     assert_eq!(sketch.stream_len(), 4 * per_thread);
     // Key 7 appears 40_000 times out of 80_000; the sketch error bound is
     // 80_000/65 ≈ 1231.
