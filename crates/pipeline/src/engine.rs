@@ -65,17 +65,31 @@ pub fn shard_of_key<K: Hash + ?Sized>(key: &K, shards: usize) -> usize {
     (h.finish() % shards as u64) as usize
 }
 
-/// Router-side endpoints of one shard's handoff: a bounded SPSC ring
-/// carrying filled batch blocks to the worker and a return ring yielding
-/// the spent (cleared, capacity kept) blocks back for reuse, so the router
-/// recycles instead of allocating per batch. Dropping a link disconnects
-/// the forward ring, which ends the worker's drain loop.
-struct ShardLink<K> {
-    tx: ring::RingSender<Vec<K>>,
-    spare: ring::RingReceiver<Vec<K>>,
+/// What the router sends a shard worker over the forward ring.
+enum ToWorker<K> {
+    /// A filled batch block; the worker sketches it and gives the cleared
+    /// block back over the return ring.
+    Batch(Vec<K>),
+    /// Seal the epoch: reply with a clone of the sketch, then continue
+    /// from an empty one.
+    Rotate,
+    /// Reply with a clone of the sketch and keep going.
+    Capture,
 }
 
-impl<K> ShardLink<K> {
+/// Router-side endpoints of one resident shard worker: the forward ring
+/// carrying batch blocks and seal messages to the worker, the return ring
+/// yielding spent (cleared, capacity kept) blocks back for reuse, so the
+/// router recycles instead of allocating per batch, and the reply ring on
+/// which the worker answers each seal. Dropping a link disconnects all
+/// three, which ends the worker's loop and unblocks any send it is in.
+struct ShardLink<K: Item> {
+    tx: ring::RingSender<ToWorker<K>>,
+    spare: ring::RingReceiver<Vec<K>>,
+    sealed: ring::RingReceiver<MisraGries<K>>,
+}
+
+impl<K: Item> ShardLink<K> {
     /// A block ready for filling: a recycled one off the return ring when
     /// available (the steady state — no allocation), else a fresh
     /// allocation (cold start, or a worker that died with blocks in hand).
@@ -138,37 +152,58 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
             .collect::<Result<Vec<_>, _>>()?)
     }
 
-    /// Spawns a new worker generation, one worker per sketch, each
-    /// continuing from the given sketch state — fresh workers are the
+    /// Spawns a new worker generation, one resident worker per sketch,
+    /// each continuing from the given sketch state — fresh workers are the
     /// `MisraGries::new` special case. The previous generation must
     /// already be retired.
+    ///
+    /// A generation lives until [`Self::reshard`] or drop: finishing,
+    /// epoch rotations and checkpoints are seal messages on the forward
+    /// ring, answered over the reply ring, so they spawn nothing.
     fn spawn_workers(&mut self, sketches: Vec<MisraGries<K>>) {
         let config = self.config;
         debug_assert_eq!(sketches.len(), config.shards);
         debug_assert!(self.links.is_empty() && self.workers.is_empty());
         for (shard, mut sketch) in sketches.into_iter().enumerate() {
-            let (tx, mut rx) = ring::bounded::<Vec<K>>(config.channel_capacity);
+            let (tx, mut rx) = ring::bounded::<ToWorker<K>>(config.channel_capacity);
             // Return-ring sizing: per shard at most `capacity + 3` blocks
             // ever circulate (the router mints one only when the return
             // ring is empty at dispatch, and at that moment the buffer,
             // forward ring and worker hold ≤ capacity + 2 of them), so with
             // the worker holding one and the router's buffer another,
             // return occupancy never exceeds `capacity + 2`: the worker's
-            // give-back below can never block.
+            // give-back below can never block. Seal messages take forward
+            // slots but carry no block, so they only lower that count.
             let (mut ret_tx, spare) = ring::bounded::<Vec<K>>(config.channel_capacity + 2);
+            // The router waits for each seal's reply before sending the
+            // next seal, so one reply cell suffices and the worker's reply
+            // never blocks.
+            let (mut reply_tx, sealed) = ring::bounded::<MisraGries<K>>(1);
             let handle = std::thread::Builder::new()
                 .name(format!("dpmg-shard-{shard}"))
                 .spawn(move || {
-                    while let Ok(mut block) = rx.recv() {
-                        sketch.extend_batch(&block);
-                        block.clear();
-                        // Router gone (teardown): recycling moot.
-                        let _ = ret_tx.send(block);
+                    // A failed give-back or reply means the router is gone
+                    // (teardown): recycling and replies are then moot.
+                    while let Ok(message) = rx.recv() {
+                        match message {
+                            ToWorker::Batch(mut block) => {
+                                sketch.extend_batch(&block);
+                                block.clear();
+                                let _ = ret_tx.send(block);
+                            }
+                            ToWorker::Rotate => {
+                                let _ = reply_tx.send(sketch.clone());
+                                sketch.clear();
+                            }
+                            ToWorker::Capture => {
+                                let _ = reply_tx.send(sketch.clone());
+                            }
+                        }
                     }
                     sketch
                 })
                 .expect("spawn shard worker thread");
-            self.links.push(ShardLink { tx, spare });
+            self.links.push(ShardLink { tx, spare, sealed });
             self.workers.push(handle);
         }
     }
@@ -287,12 +322,12 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
         let fresh = self.links[shard].recycled(self.config.batch_size);
         let batch = std::mem::replace(&mut self.buffers[shard], fresh);
         self.batches += 1;
-        self.links[shard].tx.send(batch).map_err(|_| {
+        if self.links[shard].tx.send(ToWorker::Batch(batch)).is_err() {
             // The receiver is gone, so the worker panicked; the batch is
             // lost and the pipeline must not pretend otherwise later.
-            self.poisoned = Some(shard);
-            PipelineError::WorkerPanicked { shard }
-        })
+            return Err(self.poison(shard));
+        }
+        Ok(())
     }
 
     /// Routes one item to its shard, flushing that shard's batch when full.
@@ -338,11 +373,16 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
         Ok(())
     }
 
-    /// Flushes partial batches, closes the channels, joins the workers and
-    /// caches the per-shard summaries. Idempotent on success; after a
-    /// worker panic the pipeline is poisoned and every further call keeps
-    /// returning the error rather than serving partial results. Called
-    /// implicitly by the summary/release accessors.
+    /// Seals the open epoch and caches its per-shard summaries and stream
+    /// lengths: flushes the partial batches and sends each worker a
+    /// `Rotate` message behind its last block; each worker replies with a
+    /// clone of its sketch and clears the sketch in place.
+    /// The workers stay resident, idle until [`Self::rotate_epoch`] reopens
+    /// the pipeline, and are joined on drop. Ingestion is refused until
+    /// then. Idempotent on success; after a worker panic the pipeline is
+    /// poisoned and every further call keeps returning the error rather
+    /// than serving partial results. Called implicitly by the
+    /// summary/release accessors.
     ///
     /// # Errors
     ///
@@ -354,7 +394,7 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
         if self.summaries.is_some() {
             return Ok(());
         }
-        let sketches = self.retire_workers()?;
+        let sketches = self.seal(|| ToWorker::Rotate)?;
         self.shard_lens = sketches.iter().map(|s| s.stream_len()).collect();
         self.summaries = Some(sketches.iter().map(|s| s.summary()).collect());
         Ok(())
@@ -424,10 +464,13 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
         Ok(hist)
     }
 
-    /// The epoch hook: finishes the in-flight epoch (flush, join, merge),
-    /// returns its pre-noise merged summary together with the epoch's
-    /// ingestion counters, and respawns fresh workers with empty sketches so
-    /// ingestion of the next epoch can continue immediately.
+    /// The epoch hook: seals the in-flight epoch ([`Self::finish`], unless
+    /// the caller already did) and returns its pre-noise merged summary
+    /// together with the epoch's ingestion counters, then reopens the
+    /// pipeline for the next epoch. The resident workers have already
+    /// cleared their sketches in place when they answered the seal, so
+    /// ingestion continues immediately: no thread is spawned or joined and
+    /// no buffer is reallocated.
     ///
     /// The returned summary is NOT private — it is the release input the
     /// epoch's DP mechanism will noise (`dpmg-service` routes it through the
@@ -441,8 +484,6 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
     pub fn rotate_epoch(&mut self) -> Result<(Summary<K>, PipelineStats), PipelineError> {
         let merged = self.merged()?;
         let stats = self.stats();
-        self.spawn_workers(Self::fresh_sketches(&self.config)?);
-        self.buffers = vec![Vec::with_capacity(self.config.batch_size); self.config.shards];
         self.rr_cursor = 0;
         self.items = 0;
         self.batches = 0;
@@ -514,35 +555,73 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
     }
 
     /// Captures the full per-shard sketch states of the open epoch — the
-    /// checkpoint hook. Flushes the partial batches, joins the current
-    /// workers, and respawns workers **continuing from clones of the
-    /// captured states**, so ingestion resumes exactly where it stopped;
-    /// the returned states (plus [`Self::carry`] and the item counter) are
-    /// everything a restore needs to rebuild this pipeline via
-    /// [`Self::with_initial_sketches`] bit-identically.
+    /// checkpoint hook. Flushes the partial batches and sends each worker a
+    /// `Capture` message behind its last block; each worker replies with a
+    /// clone of its sketch and keeps ingesting from where it stopped. No
+    /// thread is spawned or joined. The returned states (plus
+    /// [`Self::carry`] and the item counter) are everything a restore
+    /// needs to rebuild this pipeline via [`Self::with_initial_sketches`]
+    /// bit-identically.
     ///
     /// The captured states are **pre-noise** data: they must stay inside
     /// the operator's trust boundary, like the raw stream.
     ///
     /// # Errors
     ///
-    /// [`PipelineError::AlreadyFinished`] after [`Self::finish`]; worker
-    /// panics as [`Self::finish`].
+    /// [`PipelineError::AlreadyFinished`] after [`Self::finish`];
+    /// [`PipelineError::WorkerPanicked`] if a worker died, after which the
+    /// pipeline stays poisoned.
     pub fn checkpoint_sketches(&mut self) -> Result<Vec<MisraGries<K>>, PipelineError> {
+        self.seal(|| ToWorker::Capture)
+    }
+
+    /// Flushes every shard's partial batch, sends each worker the seal
+    /// message behind it, and collects the replies in shard order. The
+    /// workers stay resident. All shards seal concurrently: every message
+    /// is sent before the first reply is awaited.
+    fn seal(&mut self, message: fn() -> ToWorker<K>) -> Result<Vec<MisraGries<K>>, PipelineError> {
         if let Some(shard) = self.poisoned {
             return Err(PipelineError::WorkerPanicked { shard });
         }
         if self.summaries.is_some() {
             return Err(PipelineError::AlreadyFinished);
         }
-        let sketches = self.retire_workers()?;
-        self.spawn_workers(sketches.clone());
-        Ok(sketches)
+        for shard in 0..self.config.shards {
+            self.dispatch(shard)?;
+            if self.links[shard].tx.send(message()).is_err() {
+                return Err(self.poison(shard));
+            }
+        }
+        let mut replies = Vec::with_capacity(self.config.shards);
+        for shard in 0..self.config.shards {
+            match self.links[shard].sealed.recv() {
+                Ok(reply) => replies.push(reply),
+                // The worker dropped its reply sender without answering:
+                // it panicked on a block queued ahead of the seal.
+                Err(_) => return Err(self.poison(shard)),
+            }
+        }
+        Ok(replies)
+    }
+
+    /// The current worker generation's thread ids, in shard order — the
+    /// residency tests' view of which threads exist.
+    #[cfg(test)]
+    fn worker_thread_ids(&self) -> Vec<std::thread::ThreadId> {
+        self.workers.iter().map(|h| h.thread().id()).collect()
+    }
+
+    /// Marks the pipeline poisoned by `shard`'s dead worker and returns the
+    /// error every later call will keep reporting.
+    fn poison(&mut self, shard: usize) -> PipelineError {
+        self.poisoned = Some(shard);
+        PipelineError::WorkerPanicked { shard }
     }
 
     /// Flushes buffers, closes the channels, and joins the current worker
-    /// generation, returning the sketches in shard order. The pipeline is
-    /// left without workers; callers must respawn before further ingestion.
+    /// generation, returning the sketches in shard order — the retiring
+    /// half of [`Self::reshard`]. The pipeline is left without workers;
+    /// the caller must respawn before further ingestion.
     fn retire_workers(&mut self) -> Result<Vec<MisraGries<K>>, PipelineError> {
         for shard in 0..self.config.shards {
             self.dispatch(shard)?;
@@ -560,18 +639,17 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
             }
         }
         if let Some(shard) = first_panic {
-            self.poisoned = Some(shard);
-            return Err(PipelineError::WorkerPanicked { shard });
+            return Err(self.poison(shard));
         }
         Ok(sketches)
     }
 }
 
 impl<K: Item + Send + 'static> Drop for ShardedPipeline<K> {
-    /// Closes the channels and joins the workers so an abandoned pipeline
-    /// never leaks threads. Join failures are ignored — the worker's panic
-    /// has already been reported through the channel send error, if anyone
-    /// was listening.
+    /// Closes the channels and joins the resident workers so an abandoned
+    /// pipeline never leaks threads. Join failures are ignored — the
+    /// worker's panic has already been reported through a failed send or
+    /// seal reply, if anyone was listening.
     fn drop(&mut self) {
         self.links.clear();
         for handle in self.workers.drain(..) {
@@ -584,6 +662,122 @@ impl<K: Item + Send + 'static> Drop for ShardedPipeline<K> {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// A key whose equality check panics when both sides are [`Self::BOMB`]
+    /// — that is, on the sketch table probe of a repeated sentinel. The
+    /// router only hashes keys, so the panic fires inside a worker's
+    /// `extend_batch`.
+    #[derive(Debug, Clone, PartialOrd, Ord)]
+    struct Bomb(u64);
+
+    impl Bomb {
+        const BOMB: u64 = u64::MAX;
+    }
+
+    impl PartialEq for Bomb {
+        fn eq(&self, other: &Self) -> bool {
+            assert!(
+                self.0 != Self::BOMB || other.0 != Self::BOMB,
+                "sentinel key compared"
+            );
+            self.0 == other.0
+        }
+    }
+
+    impl Eq for Bomb {}
+
+    impl Hash for Bomb {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            self.0.hash(state);
+        }
+    }
+
+    /// A two-shard pipeline whose sentinel shard's worker has panicked on
+    /// a repeated sentinel, and the index of that shard.
+    fn pipeline_with_dead_worker() -> (ShardedPipeline<Bomb>, usize) {
+        let mut pipe =
+            ShardedPipeline::<Bomb>::new(PipelineConfig::new(2, 8).with_batch_size(4)).unwrap();
+        let dead = shard_of_key(&Bomb(Bomb::BOMB), 2);
+        pipe.ingest_from((0..40).map(Bomb)).unwrap();
+        // Nothing else routes to that shard between the two sentinels, so
+        // the second one's table probe finds the first and compares them.
+        pipe.ingest_from([Bomb(Bomb::BOMB), Bomb(Bomb::BOMB)])
+            .unwrap();
+        (pipe, dead)
+    }
+
+    /// Every operation that waits on the workers, as `(name, call)`.
+    type Op = (
+        &'static str,
+        fn(&mut ShardedPipeline<Bomb>) -> Result<(), PipelineError>,
+    );
+    const WAITING_OPS: [Op; 5] = [
+        ("rotate_epoch", |p| p.rotate_epoch().map(drop)),
+        ("checkpoint_sketches", |p| p.checkpoint_sketches().map(drop)),
+        ("finish", ShardedPipeline::finish),
+        ("release", |p| {
+            let params = PrivacyParams::new(0.9, 1e-8).unwrap();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+            p.release(params, &mut rng).map(drop)
+        }),
+        ("reshard", |p| p.reshard(3)),
+    ];
+
+    #[test]
+    fn worker_panic_poisons_every_waiting_operation() {
+        // Whichever operation first meets the dead worker reports it, and
+        // every operation after it keeps reporting it.
+        for (first, op) in WAITING_OPS {
+            let (mut pipe, dead) = pipeline_with_dead_worker();
+            for (name, then) in std::iter::once((first, op)).chain(WAITING_OPS) {
+                match then(&mut pipe) {
+                    Err(PipelineError::WorkerPanicked { shard }) => {
+                        assert_eq!(shard, dead, "{first} then {name}");
+                    }
+                    other => panic!("{first} then {name}: expected WorkerPanicked, got {other:?}"),
+                }
+            }
+            assert_eq!(
+                pipe.config().shards,
+                2,
+                "a poisoned reshard changes nothing"
+            );
+        }
+    }
+
+    #[test]
+    fn dropping_a_pipeline_with_a_dead_worker_returns() {
+        // Once without touching the dead worker, once after a seal saw it:
+        // drop must join every thread and return in both cases.
+        let (pipe, _) = pipeline_with_dead_worker();
+        drop(pipe);
+        let (mut pipe, _) = pipeline_with_dead_worker();
+        assert!(pipe.rotate_epoch().is_err());
+        drop(pipe);
+    }
+
+    #[test]
+    fn workers_stay_resident_across_rotations_and_checkpoints() {
+        let mut pipe =
+            ShardedPipeline::<u64>::new(PipelineConfig::new(3, 8).with_batch_size(7)).unwrap();
+        let born = pipe.worker_thread_ids();
+        assert_eq!(born.len(), 3);
+        for epoch in 0..50u64 {
+            pipe.ingest_from((0..100u64).map(|i| epoch * 7 + i % 13))
+                .unwrap();
+            assert_eq!(pipe.checkpoint_sketches().unwrap().len(), 3);
+            let (_, stats) = pipe.rotate_epoch().unwrap();
+            assert_eq!(stats.items, 100);
+            assert_eq!(pipe.worker_thread_ids(), born, "epoch {epoch}");
+        }
+        pipe.reshard(3).unwrap();
+        let resharded = pipe.worker_thread_ids();
+        assert_eq!(resharded.len(), 3);
+        assert!(
+            resharded.iter().all(|id| !born.contains(id)),
+            "reshard respawns the generation"
+        );
+    }
 
     #[test]
     fn shard_of_key_is_stable_and_in_range() {

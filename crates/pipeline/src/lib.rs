@@ -18,12 +18,27 @@
 //! so steady-state ingestion allocates nothing. The single-threaded
 //! [`sequential_sharded_reference`] replays the same routing and merge
 //! shape inline and is the differential-testing oracle for the threaded
-//! engine. When ingestion finishes, the per-shard summaries are combined
+//! engine. When an epoch is sealed, the per-shard summaries are combined
 //! with the binary merge tree of
 //! [`sketch::merge`](dpmg_sketch::merge::merge_tree) and released **once**
 //! through the trusted-aggregator mechanisms of
 //! [`core::merged`](dpmg_core::merged) — by default the Gaussian Sparse
 //! Histogram Mechanism the paper recommends at the end of Section 7.
+//!
+//! # Worker lifecycle
+//!
+//! Shard workers are spawned once per generation and stay resident. An
+//! epoch is sealed through the ring, not by joining threads:
+//! [`ShardedPipeline::rotate_epoch`] (and [`ShardedPipeline::finish`])
+//! queue a seal message behind each shard's last batch, and each worker
+//! answers on a capacity-1 reply ring with a clone of its sketch, then
+//! clears the sketch in place and keeps running.
+//! [`ShardedPipeline::checkpoint_sketches`] works the same way, except
+//! that the worker keeps its sketch.
+//! Only [`ShardedPipeline::reshard`] joins a generation and spawns the
+//! next one, at the new width; dropping the pipeline joins the last one.
+//! The merge tree and the release are unchanged by this, so releases stay
+//! bit-identical to the [`sequential_sharded_reference`].
 //!
 //! # Why the sharded release is private (Section 7)
 //!

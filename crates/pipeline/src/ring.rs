@@ -1,11 +1,13 @@
 //! Bounded SPSC block ring — the allocation-free router→shard handoff.
 //!
 //! One ring connects exactly one producer ([`RingSender`]) to exactly one
-//! consumer ([`RingReceiver`]). The pipeline creates **two** per
-//! (router, shard) pair: a forward ring carrying filled batch blocks to
-//! the worker and a return ring carrying the spent (cleared, capacity
-//! kept) blocks back, so steady-state ingestion recycles a fixed pool of
-//! `Vec<K>` blocks instead of allocating one per batch.
+//! consumer ([`RingReceiver`]). The pipeline creates **three** per
+//! (router, shard) pair: a forward ring carrying filled batch blocks (and
+//! epoch-seal messages) to the worker, a return ring carrying the spent
+//! (cleared, capacity kept) blocks back, so steady-state ingestion
+//! recycles a fixed pool of `Vec<K>` blocks instead of allocating one per
+//! batch, and a capacity-1 reply ring on which the resident worker
+//! answers each seal.
 //!
 //! # Design
 //!
@@ -52,7 +54,8 @@
 //! with the value returned; dropping the sender lets the receiver drain
 //! the buffered values and then fail with [`RecvError`]. A worker panic
 //! therefore surfaces as a failed `send` from the router to that shard,
-//! which poisons the pipeline.
+//! or as a failed `recv` on its reply ring, either of which poisons the
+//! pipeline.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};

@@ -396,6 +396,13 @@ impl<T: Hash + Eq> FlatCounters<T> {
         (removed.key, removed.stored)
     }
 
+    /// Removes every entry, keeping the slot array (and so the capacity)
+    /// allocated for reuse.
+    pub fn clear(&mut self) {
+        self.slots.fill_with(|| None);
+        self.live = 0;
+    }
+
     /// Iterates over `(key, counter)` pairs in unspecified (layout) order.
     /// Callers needing the canonical order sort — exactly what the
     /// summary/release boundary of the sketch does.

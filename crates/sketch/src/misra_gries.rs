@@ -207,28 +207,44 @@ impl<K: Item> MisraGries<K> {
         // whole lifetime, so the flat table is sized once for `k` live
         // entries (≤ ½ load factor, see `FlatCounters::with_live_capacity`)
         // and the heap for its one-entry-per-slot invariant.
-        let mut counts = FlatCounters::with_live_capacity(k);
-        // All k dummies share stored value 0, so they start directly in the
-        // level bucket (descending index order: Dummy(k−1) … Dummy(0)).
-        let mut bucket_dummies = Vec::with_capacity(k);
-        for i in (0..k as u32).rev() {
-            counts.insert(Slot::Dummy(i), 0);
-            bucket_dummies.push(i);
-        }
-        Ok(Self {
+        let mut sketch = Self {
             k,
             offset: 0,
-            counts,
+            counts: FlatCounters::with_live_capacity(k),
             bucket_items: Vec::with_capacity(k),
-            bucket_dummies,
+            bucket_dummies: Vec::with_capacity(k),
             bucket_level: 0,
             n: 0,
             decrements: 0,
-            // The candidate's table index is not known yet; the first
-            // fresh_min call validates Dummy(0) with one probe.
             min_fresh: false,
             min_at: 0,
-        })
+        };
+        sketch.clear();
+        Ok(sketch)
+    }
+
+    /// Resets the sketch to the state of `MisraGries::new(k)` — `k` dummy
+    /// keys with counter 0, empty stream — in place, keeping every
+    /// allocation. A shard worker uses this to start the next epoch without
+    /// reallocating its table.
+    pub fn clear(&mut self) {
+        self.counts.clear();
+        self.bucket_items.clear();
+        self.bucket_dummies.clear();
+        // All k dummies share stored value 0, so they start directly in the
+        // level bucket (descending index order: Dummy(k−1) … Dummy(0)).
+        for i in (0..self.k as u32).rev() {
+            self.counts.insert(Slot::Dummy(i), 0);
+            self.bucket_dummies.push(i);
+        }
+        self.offset = 0;
+        self.bucket_level = 0;
+        self.n = 0;
+        self.decrements = 0;
+        // The candidate's table index is not known yet; the first fresh_min
+        // call validates Dummy(0) with one probe.
+        self.min_fresh = false;
+        self.min_at = 0;
     }
 
     /// Rebuilds a sketch from a full state capture — the `(slot, effective
@@ -1047,6 +1063,26 @@ mod tests {
             prop_assert_eq!(original.summary(), restored.summary());
             prop_assert_eq!(original.stream_len(), restored.stream_len());
             prop_assert_eq!(original.decrement_count(), restored.decrement_count());
+        }
+
+        /// `clear` is `new` in place: a sketch fed stream A, cleared, then
+        /// fed stream B is indistinguishable from a fresh sketch fed only B.
+        #[test]
+        fn prop_clear_then_stream_matches_fresh(
+            a in proptest::collection::vec(0u64..12, 0..400),
+            b in proptest::collection::vec(0u64..12, 0..400),
+            k in 1usize..8,
+        ) {
+            let mut reused = MisraGries::new(k).unwrap();
+            reused.extend_batch(&a);
+            reused.clear();
+            reused.extend_batch(&b);
+            let mut fresh = MisraGries::new(k).unwrap();
+            fresh.extend_batch(&b);
+            prop_assert_eq!(reused.slots(), fresh.slots());
+            prop_assert_eq!(reused.summary(), fresh.summary());
+            prop_assert_eq!(reused.stream_len(), fresh.stream_len());
+            prop_assert_eq!(reused.decrement_count(), fresh.decrement_count());
         }
 
         /// Differential test: the heap/offset implementation agrees with the
