@@ -28,7 +28,7 @@
 //! is not merged at all.
 
 use crate::FleetError;
-use dpmg_sketch::serialize::{decode, encode, read_frame, write_frame};
+use dpmg_sketch::serialize::{decode, encode, read_frame, write_frame, Reader, Writer};
 use dpmg_sketch::Summary;
 use std::io::{Read, Write};
 
@@ -65,7 +65,7 @@ pub struct Hello {
 impl Hello {
     /// Serializes to the fixed 48-byte payload (6 × u64 LE).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(48);
+        let mut w = Writer::with_capacity(48);
         for v in [
             self.worker_id,
             self.workers,
@@ -74,9 +74,9 @@ impl Hello {
             self.shard_count,
             self.k,
         ] {
-            out.extend_from_slice(&v.to_le_bytes());
+            w.u64(v);
         }
-        out
+        w.into_bytes()
     }
 
     /// Parses and structurally validates a HELLO payload.
@@ -87,23 +87,21 @@ impl Hello {
     /// (zero shards/k, worker id out of range, block outside the shard
     /// space).
     pub fn decode(payload: &[u8]) -> Result<Self, FleetError> {
-        if payload.len() != 48 {
-            return Err(FleetError::Protocol("HELLO payload must be 48 bytes"));
-        }
-        let mut vals = [0u64; 6];
-        for (i, v) in vals.iter_mut().enumerate() {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(&payload[i * 8..(i + 1) * 8]);
-            *v = u64::from_le_bytes(buf);
-        }
-        let hello = Hello {
-            worker_id: vals[0],
-            workers: vals[1],
-            total_shards: vals[2],
-            first_shard: vals[3],
-            shard_count: vals[4],
-            k: vals[5],
+        const WRONG_LEN: &str = "HELLO payload must be 48 bytes";
+        let read = || {
+            let mut r = Reader::new(payload, WRONG_LEN);
+            let hello = Hello {
+                worker_id: r.u64()?,
+                workers: r.u64()?,
+                total_shards: r.u64()?,
+                first_shard: r.u64()?,
+                shard_count: r.u64()?,
+                k: r.u64()?,
+            };
+            r.end(WRONG_LEN)?;
+            Ok(hello)
         };
+        let hello = read().map_err(FleetError::Protocol)?;
         if hello.workers == 0 || hello.shard_count == 0 || hello.k == 0 {
             return Err(FleetError::Protocol(
                 "HELLO geometry must have nonzero workers, shard_count, k",
@@ -127,10 +125,10 @@ impl Hello {
 
 /// Encodes a DONE payload.
 pub fn encode_done(items: u64, elapsed_ns: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    out.extend_from_slice(&items.to_le_bytes());
-    out.extend_from_slice(&elapsed_ns.to_le_bytes());
-    out
+    let mut w = Writer::with_capacity(16);
+    w.u64(items);
+    w.u64(elapsed_ns);
+    w.into_bytes()
 }
 
 /// Decodes a DONE payload into `(items, elapsed_ns)`.
@@ -139,23 +137,23 @@ pub fn encode_done(items: u64, elapsed_ns: u64) -> Vec<u8> {
 ///
 /// [`FleetError::Protocol`] on wrong length.
 pub fn decode_done(payload: &[u8]) -> Result<(u64, u64), FleetError> {
-    if payload.len() != 16 {
-        return Err(FleetError::Protocol("DONE payload must be 16 bytes"));
-    }
-    let mut a = [0u8; 8];
-    let mut b = [0u8; 8];
-    a.copy_from_slice(&payload[..8]);
-    b.copy_from_slice(&payload[8..]);
-    Ok((u64::from_le_bytes(a), u64::from_le_bytes(b)))
+    const WRONG_LEN: &str = "DONE payload must be 16 bytes";
+    let read = || {
+        let mut r = Reader::new(payload, WRONG_LEN);
+        let done = (r.u64()?, r.u64()?);
+        r.end(WRONG_LEN)?;
+        Ok(done)
+    };
+    read().map_err(FleetError::Protocol)
 }
 
 /// Encodes a SUMMARY payload: global shard index, then the DPMG bytes.
 pub fn encode_summary(global_shard: u64, summary: &Summary<u64>) -> Vec<u8> {
     let body = encode(summary);
-    let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&global_shard.to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    let mut w = Writer::with_capacity(8 + body.len());
+    w.u64(global_shard);
+    w.bytes(&body);
+    w.into_bytes()
 }
 
 /// Decodes a SUMMARY payload into `(global_shard, summary)`.
@@ -165,14 +163,10 @@ pub fn encode_summary(global_shard: u64, summary: &Summary<u64>) -> Vec<u8> {
 /// [`FleetError::Protocol`] on a short payload, [`FleetError::Sketch`] when
 /// the embedded DPMG encoding fails structural validation.
 pub fn decode_summary(payload: &[u8]) -> Result<(u64, Summary<u64>), FleetError> {
-    if payload.len() < 8 {
-        return Err(FleetError::Protocol("SUMMARY payload shorter than header"));
-    }
-    let mut buf = [0u8; 8];
-    buf.copy_from_slice(&payload[..8]);
-    let global_shard = u64::from_le_bytes(buf);
-    let summary = decode(&payload[8..])?;
-    Ok((global_shard, summary))
+    let mut r = Reader::new(payload, "SUMMARY payload shorter than header");
+    let global_shard = r.u64().map_err(FleetError::Protocol)?;
+    let body = r.bytes(r.remaining()).map_err(FleetError::Protocol)?;
+    Ok((global_shard, decode(body)?))
 }
 
 /// One worker's complete, validated report.

@@ -58,6 +58,9 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+#[cfg(test)]
+#[path = "../../../tests/support/corruption.rs"]
+mod corruption;
 mod persist;
 pub mod reference;
 pub mod service;

@@ -470,19 +470,9 @@ impl<K: Item + Send + 'static> DpmgService<K> {
         })
     }
 
-    pub(crate) fn from_parts(
-        config: ServiceConfig,
-        core: EpochCore<K>,
-        initial: ReleasedSnapshot<K>,
-    ) -> Result<Self, ServiceError> {
-        let pipeline = ShardedPipeline::new(config.pipeline_config())?;
-        Ok(Self::from_restored(config, core, initial, pipeline, 0))
-    }
-
-    /// Assembles a service around an already-rebuilt ingestion pipeline —
-    /// the durable-recovery path, where the pipeline's workers continue
-    /// from checkpointed sketch states and `epoch_items` items are already
-    /// in the open epoch.
+    /// Assembles a service around a restored release core and an
+    /// ingestion pipeline whose open epoch already holds `epoch_items`
+    /// items — the persistence path (`persist::rebuild_service`).
     pub(crate) fn from_restored(
         config: ServiceConfig,
         core: EpochCore<K>,

@@ -44,33 +44,20 @@
 //!
 //! # Wire formats
 //!
-//! Segment files (all integers little-endian):
-//!
-//! ```text
-//! header   : magic b"DPWL" | version u8 = 1 | seq u64 | k u64
-//!            | shards u64 | completed_epochs u64 | checksum u64
-//! record   : len u32 | payload (kind u8 + body) | checksum u64
-//!            (checksums: word-folded FNV-1a over the preceding bytes —
-//!            see `fnv1a_words_checksum`)
-//! kinds    : 0 = Items (count u64, count × key u64)
-//!            1 = EpochEnd (explicit tick; empty body)
-//!            2 = Reshard (new shard count u64)
-//! ```
-//!
-//! Checkpoint files hold one `DPCK` record (layout in [`crate::persist`]).
-//! Both live inside the operator's trust boundary: WAL items are the raw
+//! Segment files hold one `DPWL` header followed by `DPWL` records;
+//! checkpoint files hold one `DPCK` record. Both layouts, and their
+//! checksums, are in the format table of [`dpmg_sketch::serialize`]. Both
+//! live inside the operator's trust boundary: WAL items are the raw
 //! stream and checkpoints are pre-noise state. Only released snapshots may
 //! cross a privacy boundary.
 
 use crate::config::{ServiceConfig, ServiceError, ServiceMode};
-use crate::persist::{decode_checkpoint, encode_checkpoint, CheckpointState};
-use crate::service::{DpmgService, EpochCore, EpochRelease, OpenEpochStatus};
+use crate::persist::{decode_checkpoint, encode_checkpoint, rebuild_service};
+use crate::service::{DpmgService, EpochRelease, OpenEpochStatus};
 use crate::snapshot::{QueryHandle, ReleasedSnapshot};
-use bytes::{Buf, BufMut, BytesMut};
 use dpmg_core::mechanism::ReleaseMechanism;
 use dpmg_noise::accounting::{Accountant, PrivacyParams};
-use dpmg_pipeline::ShardedPipeline;
-use dpmg_sketch::serialize::SnapshotRecord;
+use dpmg_sketch::serialize::{Checksum, Reader, Writer};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -79,43 +66,20 @@ use std::sync::Arc;
 const SEGMENT_MAGIC: [u8; 4] = *b"DPWL";
 const SEGMENT_VERSION: u8 = 1;
 const SEGMENT_HEADER_LEN: usize = 4 + 1 + 8 * 4 + 8;
+/// Segment headers and records are sealed with the word-folded FNV-1a,
+/// which keeps checksumming off the ingest thread's critical path.
+const WAL_CHECKSUM: Checksum = Checksum::Fnv1aWords;
 
 const RECORD_ITEMS: u8 = 0;
 const RECORD_EPOCH_END: u8 = 1;
 const RECORD_RESHARD: u8 = 2;
 
+/// The largest `Items` group one record can frame: the `u32` length field
+/// covers the kind byte, the item count and 8 bytes per item.
+const MAX_GROUP_ITEMS: usize = (u32::MAX as usize - 1 - 8) / 8;
+
 const SEGMENT_EXT: &str = "dpwl";
 const CHECKPOINT_EXT: &str = "dpck";
-
-/// FNV-1a folded over 64-bit little-endian words — the WAL's checksum.
-///
-/// `Items` records carry 8 bytes per ingested item, and byte-at-a-time
-/// FNV-1a is a serial multiply-xor chain costing several percent of ingest
-/// throughput on its own; folding a word per step cuts that 8×. The input
-/// length is folded in first, so the zero-padding of a final partial word
-/// cannot collide with genuine trailing zeros. Each step `h ← (h ⊕ w)·p`
-/// is a bijection of the running state (odd prime, modulo 2^64), so
-/// flipping any single bit of the input always changes the digest —
-/// exactly the guarantee the crash-injection suite relies on.
-fn fnv1a_words_checksum(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    h ^= bytes.len() as u64;
-    h = h.wrapping_mul(PRIME);
-    let mut words = bytes.chunks_exact(8);
-    for word in &mut words {
-        h ^= u64::from_le_bytes(word.try_into().expect("exact chunk"));
-        h = h.wrapping_mul(PRIME);
-    }
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        let mut word = [0u8; 8];
-        word[..tail.len()].copy_from_slice(tail);
-        h ^= u64::from_le_bytes(word);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
 
 /// Durability knobs for [`DurableService`].
 #[derive(Debug, Clone)]
@@ -304,6 +268,11 @@ impl DurableService {
         if durability.group_commit == 0 {
             return Err(ServiceError::Persistence("group_commit must be ≥ 1"));
         }
+        if durability.group_commit > MAX_GROUP_ITEMS {
+            return Err(ServiceError::Persistence(
+                "group_commit exceeds the largest group one wal record can frame",
+            ));
+        }
         if durability.checkpoint_every_epochs == 0 {
             return Err(ServiceError::Persistence(
                 "checkpoint_every_epochs must be ≥ 1",
@@ -321,17 +290,32 @@ impl DurableService {
         let segments = scan_dir(&durability.dir, SEGMENT_EXT)?;
         let checkpoints = scan_dir(&durability.dir, CHECKPOINT_EXT)?;
 
-        let newest_checkpoint = checkpoints.last().cloned();
-        let checkpoint = match &newest_checkpoint {
-            Some((_, path)) => Some(load_checkpoint(path, &config, budget)?),
+        let checkpoint = match checkpoints.last() {
+            Some((_, path)) => Some(
+                decode_checkpoint(&fs::read(path)?, &config, budget)
+                    .map_err(ServiceError::Persistence)?,
+            ),
             None => None,
         };
         let recovered = checkpoint.is_some() || !segments.is_empty();
-        let checkpoint_epochs = checkpoint.as_ref().map_or(0, |c| c.completed_epochs);
+        let checkpoint_epochs = checkpoint.as_ref().map_or(0, |c| c.released.snapshot.epoch);
         let replay_from = checkpoint.as_ref().map_or(0, |c| c.wal_seq);
 
         let mut inner = match checkpoint {
-            Some(state) => rebuild_service(&config, mechanism, budget, seed, state)?,
+            Some(checkpoint) => {
+                // The checkpoint's shard count is authoritative: live
+                // resharding makes it a runtime value the caller's config
+                // cannot know.
+                let mut config = config;
+                config.shards = checkpoint.shards;
+                rebuild_service(
+                    config,
+                    mechanism,
+                    seed,
+                    checkpoint.released,
+                    Some(checkpoint.open),
+                )?
+            }
             None => DpmgService::new(config, mechanism, budget, seed)?,
         };
 
@@ -568,9 +552,7 @@ impl DurableService {
     pub fn reshard(&mut self, new_shards: usize) -> Result<(), ServiceError> {
         self.commit()?;
         self.inner.reshard(new_shards)?;
-        let mut body = [0u8; 8];
-        body.copy_from_slice(&(new_shards as u64).to_le_bytes());
-        match self.append_record(RECORD_RESHARD, &body) {
+        match self.append_record(RECORD_RESHARD, &(new_shards as u64).to_le_bytes()) {
             Ok(()) => Ok(()),
             Err(e) => {
                 self.poisoned = true;
@@ -605,17 +587,12 @@ impl DurableService {
         if self.buffer.is_empty() {
             return Ok(());
         }
-        let payload_len = 1 + 8 + self.buffer.len() * 8;
-        let mut buf = BytesMut::with_capacity(4 + payload_len + 8);
-        buf.put_u32_le(payload_len as u32);
-        buf.put_u8(RECORD_ITEMS);
-        buf.put_u64_le(self.buffer.len() as u64);
-        for item in &self.buffer {
-            buf.put_u64_le(*item);
+        let mut record = wal_record(RECORD_ITEMS, 8 + self.buffer.len() * 8)?;
+        record.u64(self.buffer.len() as u64);
+        for &item in &self.buffer {
+            record.u64(item);
         }
-        let checksum = fnv1a_words_checksum(&buf);
-        buf.put_u64_le(checksum);
-        self.segment.write_all(&buf)?;
+        self.segment.write_all(&record.seal(WAL_CHECKSUM))?;
         if self.durability.sync_writes {
             self.segment.sync_data()?;
         }
@@ -684,32 +661,7 @@ impl DurableService {
         let next_seq = self.segment_seq + 1;
         let sketches = self.inner.pipeline_mut().checkpoint_sketches()?;
         let carry = self.inner.pipeline_mut().carry().cloned();
-        let latest = self.inner.latest();
-        let accountant = self.inner.accountant();
-        let state = CheckpointState {
-            wal_seq: next_seq,
-            shards: self.inner.config().shards,
-            k: self.inner.config().k,
-            epoch_len: self.inner.config().epoch_len.unwrap_or(0),
-            completed_epochs: self.inner.completed_epochs(),
-            released_items: self.inner.released_items(),
-            epoch_items: self.inner.open_epoch_items(),
-            rng: self.inner.core().rng_state(),
-            budget_eps: accountant.budget().epsilon(),
-            budget_delta: accountant.budget().delta(),
-            spent_eps: accountant.spent_epsilon(),
-            spent_delta: accountant.spent_delta(),
-            charges: accountant.charges() as u64,
-            snapshot: SnapshotRecord {
-                k: latest.k,
-                epoch: latest.epoch,
-                items: latest.items,
-                entries: latest.estimates.clone(),
-            },
-            carry,
-            sketches,
-        };
-        let bytes = encode_checkpoint(&state);
+        let bytes = encode_checkpoint(&self.inner, next_seq, &sketches, carry.as_ref());
         let final_path = self
             .durability
             .dir
@@ -731,7 +683,7 @@ impl DurableService {
             fsync_dir(&self.durability.dir)?;
         }
         self.open_segment(next_seq)?;
-        self.last_checkpoint_epochs = state.completed_epochs;
+        self.last_checkpoint_epochs = self.inner.completed_epochs();
         self.garbage_collect(next_seq)?;
         Ok(())
     }
@@ -755,14 +707,9 @@ impl DurableService {
 
     fn append_record(&mut self, kind: u8, body: &[u8]) -> Result<(), ServiceError> {
         self.check_not_poisoned()?;
-        let payload_len = 1 + body.len();
-        let mut buf = BytesMut::with_capacity(4 + payload_len + 8);
-        buf.put_u32_le(payload_len as u32);
-        buf.put_u8(kind);
-        buf.put_slice(body);
-        let checksum = fnv1a_words_checksum(&buf);
-        buf.put_u64_le(checksum);
-        self.segment.write_all(&buf)?;
+        let mut record = wal_record(kind, body.len())?;
+        record.bytes(body);
+        self.segment.write_all(&record.seal(WAL_CHECKSUM))?;
         if self.durability.sync_writes {
             self.segment.sync_data()?;
         }
@@ -820,22 +767,26 @@ fn open_segment_file(
         .write(true)
         .create_new(true)
         .open(&path)?;
-    let mut header = BytesMut::with_capacity(SEGMENT_HEADER_LEN);
-    header.put_slice(&SEGMENT_MAGIC);
-    header.put_u8(SEGMENT_VERSION);
-    header.put_u64_le(seq);
-    header.put_u64_le(service.config().k as u64);
-    header.put_u64_le(service.config().shards as u64);
-    header.put_u64_le(service.completed_epochs());
-    let checksum = fnv1a_words_checksum(&header);
-    header.put_u64_le(checksum);
-    file.write_all(&header)?;
+    file.write_all(&segment_header(service, seq))?;
     if durability.sync_writes {
         file.sync_data()?;
         // The file's directory entry must survive power loss too.
         fsync_dir(&durability.dir)?;
     }
     Ok(file)
+}
+
+/// The sealed header of segment `seq`, stamped with `service`'s `k`,
+/// shard count and completed epochs.
+fn segment_header(service: &DpmgService<u64>, seq: u64) -> Vec<u8> {
+    let mut header = Writer::with_capacity(SEGMENT_HEADER_LEN);
+    header.bytes(&SEGMENT_MAGIC);
+    header.u8(SEGMENT_VERSION);
+    header.u64(seq);
+    header.u64(service.config().k as u64);
+    header.u64(service.config().shards as u64);
+    header.u64(service.completed_epochs());
+    header.seal(WAL_CHECKSUM)
 }
 
 /// Durably records directory-entry changes (creates, renames, deletes) —
@@ -885,49 +836,25 @@ fn replay_segment(
 ) -> Result<SegmentReplay, ServiceError> {
     let mut replay = SegmentReplay {
         items: 0,
-        torn: false,
+        torn: true,
         valid_len: 0,
     };
-    if bytes.len() < SEGMENT_HEADER_LEN {
-        replay.torn = true;
+    // A header that is short or fails its checksum never became durable.
+    let Some(header) = bytes.get(..SEGMENT_HEADER_LEN) else {
         return Ok(replay);
-    }
-    let (header, mut rest) = bytes.split_at(SEGMENT_HEADER_LEN);
-    let (header_body, mut header_sum) = header.split_at(SEGMENT_HEADER_LEN - 8);
-    if fnv1a_words_checksum(header_body) != header_sum.get_u64_le() {
-        replay.torn = true;
+    };
+    let Ok(header) = unseal_wal(header) else {
         return Ok(replay);
-    }
-    let mut header_body = header_body;
-    let mut magic = [0u8; 4];
-    header_body.copy_to_slice(&mut magic);
-    if magic != SEGMENT_MAGIC {
-        return Err(ServiceError::Persistence("bad wal segment magic"));
-    }
-    if header_body.get_u8() != SEGMENT_VERSION {
-        return Err(ServiceError::Persistence("unsupported wal segment version"));
-    }
-    if header_body.get_u64_le() != expected_seq {
-        return Err(ServiceError::Persistence(
-            "wal segment sequence disagrees with its filename",
-        ));
-    }
-    if header_body.get_u64_le() != service.config().k as u64 {
-        return Err(ServiceError::Persistence(
-            "wal segment k does not match the configuration",
-        ));
-    }
-    // Shard count and epoch at open are informational (resharding and
-    // replay recompute them); skip.
+    };
+    check_segment_header(header, expected_seq, service.config().k)
+        .map_err(ServiceError::Persistence)?;
 
-    loop {
-        let record = match next_record(&mut rest) {
-            Some(Ok(record)) => record,
-            Some(Err(())) => {
-                replay.torn = true;
-                break;
-            }
-            None => break,
+    let mut rest = &bytes[SEGMENT_HEADER_LEN..];
+    replay.torn = false;
+    while !rest.is_empty() {
+        let Ok(record) = next_record(&mut rest) else {
+            replay.torn = true;
+            break;
         };
         match record {
             WalRecord::Items(items) => {
@@ -950,153 +877,88 @@ fn replay_segment(
     Ok(replay)
 }
 
-/// Decodes the next record off `rest`, advancing past it. `None`: clean
-/// end. `Some(Err(()))`: invalid (truncated, checksum-mismatched, or
-/// malformed) — the segment's valid prefix ends before it.
-fn next_record(rest: &mut &[u8]) -> Option<Result<WalRecord, ()>> {
-    if rest.is_empty() {
-        return None;
+/// Verifies a sealed header or record's checksum and reads its body.
+fn unseal_wal(bytes: &[u8]) -> Result<Reader<'_>, &'static str> {
+    Reader::unseal(
+        bytes,
+        WAL_CHECKSUM,
+        "wal record truncated",
+        "wal checksum mismatch",
+    )
+}
+
+/// Checks a checksum-verified segment header against the segment's
+/// filename sequence and the configured `k`.
+fn check_segment_header(mut r: Reader<'_>, seq: u64, k: usize) -> Result<(), &'static str> {
+    r.expect_magic(SEGMENT_MAGIC, "bad wal segment magic")?;
+    r.expect_version(SEGMENT_VERSION, "unsupported wal segment version")?;
+    if r.u64()? != seq {
+        return Err("wal segment sequence disagrees with its filename");
     }
-    if rest.len() < 4 {
-        return Some(Err(()));
+    if r.u64()? != k as u64 {
+        return Err("wal segment k does not match the configuration");
     }
-    let mut peek = *rest;
-    let len = peek.get_u32_le() as usize;
-    if len == 0 || peek.len() < len + 8 {
-        return Some(Err(()));
-    }
-    let framed_len = 4 + len;
-    if fnv1a_words_checksum(&rest[..framed_len]) != (&rest[framed_len..framed_len + 8]).get_u64_le()
-    {
-        return Some(Err(()));
-    }
-    let mut payload = &rest[4..framed_len];
-    *rest = &rest[framed_len + 8..];
-    let kind = payload.get_u8();
-    let record = match kind {
+    // Shard count and epoch at open are informational (resharding and
+    // replay recompute them); skip.
+    r.bytes(16)?;
+    r.end("wal segment header has trailing bytes")
+}
+
+/// Starts a record whose body is `body_len` bytes: the `u32` payload
+/// length, then the kind byte. A payload the length field cannot frame is
+/// refused — a wrapped length would make replay truncate the record, and
+/// everything after it, as a torn tail.
+fn wal_record(kind: u8, body_len: usize) -> Result<Writer, ServiceError> {
+    let payload_len = body_len
+        .checked_add(1)
+        .and_then(|len| u32::try_from(len).ok())
+        .ok_or(ServiceError::Persistence(
+            "wal record payload exceeds the u32 length field",
+        ))?;
+    let mut record = Writer::with_capacity(4 + payload_len as usize + 8);
+    record.u32(payload_len);
+    record.u8(kind);
+    Ok(record)
+}
+
+/// Decodes the record at the front of `rest`, advancing past it. An error
+/// means the record is truncated, checksum-mismatched or malformed: the
+/// segment's valid prefix ends before it.
+fn next_record(rest: &mut &[u8]) -> Result<WalRecord, &'static str> {
+    let payload_len = Reader::new(rest, "wal record length truncated").u32()? as usize;
+    let framed = payload_len
+        .checked_add(4 + 8)
+        .and_then(|len| rest.get(..len))
+        .ok_or("wal record truncated")?;
+    let mut r = unseal_wal(framed)?;
+    r.u32()?; // the payload length, read above
+    let record = match r.u8()? {
         RECORD_ITEMS => {
-            if payload.len() < 8 {
-                return Some(Err(()));
-            }
-            let count = payload.get_u64_le();
-            // Divide, don't multiply: the declared count cannot overflow
-            // the plausibility check.
-            if count != (payload.len() / 8) as u64 || payload.len() % 8 != 0 {
-                return Some(Err(()));
-            }
-            let mut items = Vec::with_capacity(payload.len() / 8);
-            while payload.has_remaining() {
-                items.push(payload.get_u64_le());
+            let declared = r.u64()?;
+            let count = r.count(
+                declared,
+                8,
+                "wal item count disagrees with the record length",
+            )?;
+            let mut items = Vec::with_capacity(count);
+            for _ in 0..count {
+                items.push(r.u64()?);
             }
             WalRecord::Items(items)
         }
-        RECORD_EPOCH_END => {
-            if !payload.is_empty() {
-                return Some(Err(()));
-            }
-            WalRecord::EpochEnd
-        }
+        RECORD_EPOCH_END => WalRecord::EpochEnd,
         RECORD_RESHARD => {
-            if payload.len() != 8 {
-                return Some(Err(()));
-            }
-            let shards = payload.get_u64_le();
-            match usize::try_from(shards).ok().filter(|s| *s >= 1) {
-                Some(shards) => WalRecord::Reshard(shards),
-                None => return Some(Err(())),
-            }
+            let shards = usize::try_from(r.u64()?)
+                .ok()
+                .filter(|s| *s >= 1)
+                .ok_or("wal reshard width invalid")?;
+            WalRecord::Reshard(shards)
         }
-        _ => return Some(Err(())),
+        _ => return Err("unknown wal record kind"),
     };
-    Some(Ok(record))
-}
-
-/// Decodes and cross-validates the newest checkpoint against the caller's
-/// configuration and budget.
-fn load_checkpoint(
-    path: &Path,
-    config: &ServiceConfig,
-    budget: PrivacyParams,
-) -> Result<CheckpointState, ServiceError> {
-    let bytes = fs::read(path)?;
-    let state = decode_checkpoint(&bytes)?;
-    if state.k != config.k {
-        return Err(ServiceError::Persistence(
-            "checkpoint k does not match the configuration",
-        ));
-    }
-    if state.epoch_len != config.epoch_len.unwrap_or(0) {
-        return Err(ServiceError::Persistence(
-            "checkpoint epoch length does not match the configuration",
-        ));
-    }
-    if state.budget_eps.to_bits() != budget.epsilon().to_bits()
-        || state.budget_delta.to_bits() != budget.delta().to_bits()
-    {
-        return Err(ServiceError::Persistence(
-            "checkpoint budget does not match the configuration",
-        ));
-    }
-    if state.snapshot.epoch != state.completed_epochs
-        || state.snapshot.items != state.released_items
-    {
-        return Err(ServiceError::Persistence(
-            "checkpoint snapshot disagrees with the epoch clock",
-        ));
-    }
-    if state.completed_epochs > 0 && state.charges == 0 {
-        return Err(ServiceError::Persistence(
-            "checkpoint claims epochs but no charges were recorded",
-        ));
-    }
-    Ok(state)
-}
-
-/// Rebuilds the service a checkpoint describes: the release core resumes
-/// the ledger and the exact generator state; the pipeline's workers start
-/// from the checkpointed sketch states.
-fn rebuild_service(
-    config: &ServiceConfig,
-    mechanism: Box<dyn ReleaseMechanism<u64>>,
-    budget: PrivacyParams,
-    seed: u64,
-    state: CheckpointState,
-) -> Result<DpmgService<u64>, ServiceError> {
-    // The checkpoint's shard count is authoritative: live resharding makes
-    // it a runtime value the caller's config cannot know.
-    let mut config = *config;
-    config.shards = state.shards;
-    let mut core = EpochCore::new(&config, mechanism, budget, seed)?;
-    let charges = usize::try_from(state.charges)
-        .map_err(|_| ServiceError::Persistence("charge count overflows usize"))?;
-    let accountant = Accountant::restore(budget, state.spent_eps, state.spent_delta, charges)
-        .map_err(|_| ServiceError::Persistence("checkpoint accountant state invalid"))?;
-    core.resume(
-        state.snapshot.entries.clone(),
-        state.completed_epochs,
-        state.released_items,
-        accountant,
-    );
-    core.set_rng_state(state.rng);
-    let pipeline = ShardedPipeline::with_initial_sketches(
-        config.pipeline_config(),
-        state.sketches,
-        state.epoch_items,
-        state.carry,
-    )?;
-    let initial = ReleasedSnapshot {
-        epoch: state.completed_epochs,
-        items: state.released_items,
-        k: state.k,
-        estimates: state.snapshot.entries,
-    };
-    Ok(DpmgService::from_restored(
-        config,
-        core,
-        initial,
-        pipeline,
-        state.epoch_items,
-    ))
+    r.end("wal record has trailing bytes")?;
+    *rest = &rest[framed.len()..];
+    Ok(record)
 }
 
 /// `{stem}-{seq:020}.{ext}` — zero-padded so lexicographic order is
@@ -1136,7 +998,9 @@ fn scan_dir(dir: &Path, ext: &str) -> Result<Vec<(u64, PathBuf)>, ServiceError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corruption::{check, reseal_with, Codec};
     use dpmg_core::mechanism::GshmMechanism;
+    use dpmg_sketch::serialize::fnv1a_words_checksum;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Self-cleaning unique test directory (no tempfile dependency).
@@ -1233,5 +1097,86 @@ mod tests {
         let (recovered, report) = open(durability).unwrap();
         assert_eq!(report.items_replayed, 50);
         assert_eq!(recovered.open_epoch_items(), 50);
+    }
+
+    /// The Items record for `items`, as `commit` writes it.
+    fn items_record(items: &[u64]) -> Vec<u8> {
+        let mut record = wal_record(RECORD_ITEMS, 8 + items.len() * 8).unwrap();
+        record.u64(items.len() as u64);
+        for &item in items {
+            record.u64(item);
+        }
+        record.seal(WAL_CHECKSUM)
+    }
+
+    #[test]
+    fn corruption_suite_dpwl_header() {
+        let svc = DpmgService::new(
+            ServiceConfig::new(2, 16),
+            Box::new(GshmMechanism::new(PrivacyParams::new(0.8, 1e-8).unwrap()).unwrap()),
+            PrivacyParams::new(100.0, 1e-4).unwrap(),
+            42,
+        )
+        .unwrap();
+        let valid = segment_header(&svc, 3);
+        check(Codec {
+            valid: &valid,
+            decode: &|bytes: &[u8]| {
+                unseal_wal(bytes).and_then(|header| check_segment_header(header, 3, 16))
+            },
+            canonical: None,
+            reseal: &reseal_with(fnv1a_words_checksum),
+            counts: &[],
+        });
+    }
+
+    #[test]
+    fn corruption_suite_dpwl_records() {
+        let one_record = |bytes: &[u8]| {
+            let mut rest = bytes;
+            let record = next_record(&mut rest)?;
+            if rest.is_empty() {
+                Ok(record)
+            } else {
+                Err("bytes after the record")
+            }
+        };
+        let items: Vec<u64> = (0..37).map(|i| i * 7919).collect();
+        for valid in [items_record(&[]), items_record(&[5]), items_record(&items)] {
+            check(Codec {
+                valid: &valid,
+                decode: &one_record,
+                canonical: None,
+                reseal: &reseal_with(fnv1a_words_checksum),
+                // The item count, after the length and kind.
+                counts: &[&[5]],
+            });
+        }
+        let mut reshard = wal_record(RECORD_RESHARD, 8).unwrap();
+        reshard.u64(3);
+        let epoch_end = wal_record(RECORD_EPOCH_END, 0).unwrap();
+        for valid in [reshard.seal(WAL_CHECKSUM), epoch_end.seal(WAL_CHECKSUM)] {
+            check(Codec {
+                valid: &valid,
+                decode: &one_record,
+                canonical: None,
+                reseal: &reseal_with(fnv1a_words_checksum),
+                counts: &[],
+            });
+        }
+    }
+
+    /// A group whose record the `u32` length field cannot frame is refused
+    /// by the writer, and `MAX_GROUP_ITEMS` is exactly the largest group
+    /// that fits.
+    #[test]
+    fn wal_records_refuse_payloads_the_length_field_cannot_frame() {
+        assert!(matches!(
+            wal_record(RECORD_ITEMS, u32::MAX as usize),
+            Err(ServiceError::Persistence(_))
+        ));
+        let payload = |items: usize| 1 + 8 + items * 8;
+        assert!(payload(MAX_GROUP_ITEMS) <= u32::MAX as usize);
+        assert!(payload(MAX_GROUP_ITEMS + 1) > u32::MAX as usize);
     }
 }

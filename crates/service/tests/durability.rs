@@ -431,6 +431,18 @@ fn open_rejects_invalid_durability_and_continual_mode() {
     ));
 }
 
+/// A group larger than one WAL record can frame used to have its `u32`
+/// length wrap, so replay truncated the durable group as a torn tail.
+#[test]
+fn open_refuses_a_group_commit_no_wal_record_can_frame() {
+    let dir = TempDir::new("huge-group");
+    let durability = DurabilityConfig::new(dir.path()).with_group_commit(usize::MAX);
+    assert!(matches!(
+        DurableService::open(ServiceConfig::new(2, K), mech(), budget(), durability, SEED),
+        Err(ServiceError::Persistence(_))
+    ));
+}
+
 #[test]
 fn recovery_rejects_mismatched_config_and_budget() {
     let config = ServiceConfig::new(2, K).with_epoch_len(400);

@@ -53,8 +53,8 @@ fn main() {
             scope.spawn(move || {
                 let mut sketch = MisraGries::new(K).unwrap();
                 sketch.extend(shard.iter().copied());
-                let bytes = encode(&sketch.summary());
-                tx.send(bytes.to_vec()).expect("aggregator alive");
+                tx.send(encode(&sketch.summary()))
+                    .expect("aggregator alive");
             });
         }
         drop(tx);
