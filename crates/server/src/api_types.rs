@@ -5,6 +5,11 @@
 //! HTTP sense — unknown fields are ignored, field order is free, and
 //! whitespace is insignificant — but strict about JSON grammar itself, so
 //! a malformed body is always a clean 400 rather than a partial parse.
+//! Numbers follow RFC 8259 §6 exactly (`01`, `1.` and `-01` are refused).
+//!
+//! `POST /ingest` bodies skip the [`JsonValue`] tree: [`IngestRequest::decode`]
+//! walks the document once and turns each key's digits into a `u64` as it
+//! reads them.
 
 use std::collections::BTreeMap;
 
@@ -37,7 +42,11 @@ impl JsonValue {
         }
     }
 
-    /// The value as a non-negative integer that fits `u64` exactly.
+    /// The value as a non-negative integral number no larger than 2^53.
+    ///
+    /// The `f64` has already rounded the source text, so a token above
+    /// 2^53 can come back as a different integer (`9007199254740993` reads
+    /// as `9007199254740992`); exact keys come from [`IngestRequest::decode`].
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
@@ -66,26 +75,43 @@ impl std::error::Error for JsonError {}
 ///
 /// [`JsonError`] naming the first grammar violation.
 pub fn parse_json(input: &[u8]) -> Result<JsonValue, JsonError> {
-    let text = std::str::from_utf8(input).map_err(|_| JsonError("body is not utf-8"))?;
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_ws();
+    let mut parser = Parser::new(input)?;
     let value = parser.value(0)?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(JsonError("trailing characters after document"));
-    }
+    parser.finish()?;
     Ok(value)
 }
+
+/// The largest key `POST /ingest` accepts: every integer up to 2^53 is an
+/// exact `f64`, so `/topk` echoes it and [`decode_topk`] reads it back
+/// unchanged.
+const MAX_ITEM: u64 = 1 << 53;
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    /// A parser at the first token of `input`, which must be UTF-8.
+    fn new(input: &'a [u8]) -> Result<Self, JsonError> {
+        let text = std::str::from_utf8(input).map_err(|_| JsonError("body is not utf-8"))?;
+        let mut parser = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        parser.skip_ws();
+        Ok(parser)
+    }
+
+    /// Rejects anything but whitespace after the document.
+    fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(JsonError("trailing characters after document"));
+        }
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
         while let Some(b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -126,22 +152,35 @@ impl Parser<'_> {
     }
 
     fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.pos += 1; // '['
         let mut items = Vec::new();
+        self.elements(|parser| {
+            items.push(parser.value(depth + 1)?);
+            Ok(())
+        })?;
+        Ok(JsonValue::Array(items))
+    }
+
+    /// Walks an array from its `[` through its `]`, calling `element` at
+    /// each element, which must consume it.
+    fn elements(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.pos += 1; // '['
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Array(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            element(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Array(items));
+                    return Ok(());
                 }
                 _ => return Err(JsonError("expected ',' or ']' in array")),
             }
@@ -149,12 +188,25 @@ impl Parser<'_> {
     }
 
     fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.pos += 1; // '{'
         let mut fields = Vec::new();
+        self.fields(|parser, name| {
+            fields.push((name, parser.value(depth + 1)?));
+            Ok(())
+        })?;
+        Ok(JsonValue::Object(fields))
+    }
+
+    /// Walks an object from its `{` through its `}`, handing each field
+    /// name to `field`, which must consume the field's value.
+    fn fields(
+        &mut self,
+        mut field: impl FnMut(&mut Self, String) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.pos += 1; // '{'
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Object(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -168,18 +220,74 @@ impl Parser<'_> {
             }
             self.pos += 1;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((name, value));
+            field(self, name)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
+                    return Ok(());
                 }
                 _ => return Err(JsonError("expected ',' or '}' in object")),
             }
         }
+    }
+
+    /// Reads the top-level `items` value straight into keys, without a
+    /// [`JsonValue`] per element.
+    ///
+    /// The outer error is a grammar error and ends the parse. The inner one
+    /// is the semantic error (not an array, or an element that is not a key)
+    /// that the caller reports only if the rest of the document parses.
+    fn items(&mut self) -> Result<Result<Vec<u64>, JsonError>, JsonError> {
+        if self.peek() != Some(b'[') {
+            self.value(1)?;
+            return Ok(Err(JsonError("'items' must be an array")));
+        }
+        // Each key takes at least a digit and a separator, so this is never
+        // short: at most 4 bytes of vector per body byte.
+        let mut keys = Vec::with_capacity((self.bytes.len() - self.pos) / 2);
+        let mut all_keys = true;
+        self.elements(|parser| {
+            match parser.key() {
+                Some(key) => keys.push(key),
+                None => {
+                    // Same depth as an element of a parsed `items` array,
+                    // so grammar errors read as `parse_json`'s.
+                    parser.value(2)?;
+                    all_keys = false;
+                }
+            }
+            Ok(())
+        })?;
+        Ok(if all_keys {
+            Ok(keys)
+        } else {
+            Err(JsonError("items must be unsigned integers"))
+        })
+    }
+
+    /// Consumes a bare JSON integer in `[0, 2^53]` — `0` or `[1-9][0-9]*`,
+    /// with no sign, fraction or exponent — and returns it exactly. Leaves
+    /// the cursor in place and returns `None` for any other token.
+    fn key(&mut self) -> Option<u64> {
+        let mut end = self.pos;
+        let mut key = 0u64;
+        while let Some(&digit) = self.bytes.get(end) {
+            if !digit.is_ascii_digit() {
+                break;
+            }
+            key = key.checked_mul(10)?.checked_add(u64::from(digit - b'0'))?;
+            end += 1;
+        }
+        let len = end - self.pos;
+        let leading_zero = len > 1 && self.bytes[self.pos] == b'0';
+        let continues = matches!(self.bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+        if len == 0 || leading_zero || continues || key > MAX_ITEM {
+            return None;
+        }
+        self.pos = end;
+        Some(key)
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -246,13 +354,50 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
+        let text = &self.bytes[start..self.pos];
+        if !is_json_number(text) {
+            return Err(JsonError("bad number"));
+        }
+        let text = std::str::from_utf8(text).expect("ascii slice");
         let n: f64 = text.parse().map_err(|_| JsonError("bad number"))?;
         if !n.is_finite() {
             return Err(JsonError("non-finite number"));
         }
         Ok(JsonValue::Number(n))
     }
+}
+
+/// Whether `text` is a JSON number (RFC 8259 §6):
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+fn is_json_number(text: &[u8]) -> bool {
+    fn digits(s: &[u8]) -> usize {
+        s.iter().take_while(|b| b.is_ascii_digit()).count()
+    }
+    let mut rest = text.strip_prefix(b"-").unwrap_or(text);
+    rest = match rest.first() {
+        Some(b'0') => &rest[1..],
+        Some(b'1'..=b'9') => &rest[digits(rest)..],
+        _ => return false,
+    };
+    if let Some(fraction) = rest.strip_prefix(b".") {
+        let n = digits(fraction);
+        if n == 0 {
+            return false;
+        }
+        rest = &fraction[n..];
+    }
+    if let Some(exponent) = rest.strip_prefix(b"e").or_else(|| rest.strip_prefix(b"E")) {
+        let exponent = exponent
+            .strip_prefix(b"+")
+            .or_else(|| exponent.strip_prefix(b"-"))
+            .unwrap_or(exponent);
+        let n = digits(exponent);
+        if n == 0 {
+            return false;
+        }
+        rest = &exponent[n..];
+    }
+    rest.is_empty()
 }
 
 fn utf8_len(first: u8) -> usize {
@@ -304,27 +449,37 @@ pub struct IngestRequest {
 }
 
 impl IngestRequest {
-    /// Decodes the body, tolerating unknown fields.
+    /// Decodes the body in one pass, tolerating unknown fields: the first
+    /// `items` array's digit runs go straight into the key vector, with no
+    /// [`JsonValue`] tree. Every other field, and any later `items`, is
+    /// checked as JSON and dropped.
     ///
     /// # Errors
     ///
-    /// [`JsonError`] when the body is not an object, `items` is absent or
-    /// not an array, or an element is not a `u64`-exact number.
+    /// [`JsonError`] naming the first grammar violation anywhere in the
+    /// document; otherwise when the body is not an object, `items` is absent
+    /// or not an array, or an element is not a bare JSON integer in
+    /// `[0, 2^53]` (so `-0`, `3.0` and `1e3` are refused).
     pub fn decode(body: &[u8]) -> Result<Self, JsonError> {
-        let value = parse_json(body)?;
-        let items = match value.get("items") {
-            Some(JsonValue::Array(items)) => items,
-            Some(_) => return Err(JsonError("'items' must be an array")),
-            None => return Err(JsonError("missing 'items' field")),
-        };
-        let items = items
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .ok_or(JsonError("items must be unsigned integers"))
-            })
-            .collect::<Result<Vec<u64>, _>>()?;
-        Ok(Self { items })
+        let mut parser = Parser::new(body)?;
+        let mut items = None;
+        if parser.peek() == Some(b'{') {
+            parser.fields(|parser, name| {
+                if items.is_none() && name == "items" {
+                    items = Some(parser.items()?);
+                } else {
+                    parser.value(1)?;
+                }
+                Ok(())
+            })?;
+        } else {
+            parser.value(0)?;
+        }
+        parser.finish()?;
+        match items {
+            Some(items) => Ok(Self { items: items? }),
+            None => Err(JsonError("missing 'items' field")),
+        }
     }
 }
 
@@ -428,6 +583,7 @@ pub fn decode_topk(body: &[u8]) -> Result<BTreeMap<u64, f64>, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng as _;
 
     #[test]
     fn parses_nested_document() {
@@ -520,5 +676,390 @@ mod tests {
         assert_eq!(JsonValue::Number(3.5).as_u64(), None);
         assert_eq!(JsonValue::Number(-1.0).as_u64(), None);
         assert_eq!(JsonValue::Number(2f64.powi(60)).as_u64(), None);
+    }
+
+    const NOT_KEYS: JsonError = JsonError("items must be unsigned integers");
+
+    /// The keys a body decodes to, or its 400 message.
+    type Decoded = Result<&'static [u64], &'static str>;
+
+    fn items_of(token: &str) -> Result<Vec<u64>, JsonError> {
+        IngestRequest::decode(format!(r#"{{"items": [{token}]}}"#).as_bytes()).map(|r| r.items)
+    }
+
+    #[test]
+    fn ingest_keys_are_exact_up_to_2_pow_53() {
+        let max = 1u64 << 53;
+        assert_eq!(items_of(&format!("0, 7, {max}")), Ok(vec![0, 7, max]));
+        // None of these may reach the sketch, rounded or not: a key is
+        // its exact digits.
+        for token in [
+            "9007199254740993",
+            "9007199254740994",
+            "18446744073709551615",
+            "18446744073709551616",
+            "100000000000000000000000",
+            "-0",
+            "3.0",
+            "1e3",
+            "1E+2",
+        ] {
+            assert_eq!(items_of(token), Err(NOT_KEYS), "{token}");
+        }
+        // A token too large for f64 is a grammar error, which wins.
+        assert_eq!(
+            items_of(&format!("1{}", "0".repeat(400))),
+            Err(JsonError("non-finite number"))
+        );
+    }
+
+    #[test]
+    fn number_grammar_follows_rfc_8259() {
+        // (token, parse_json, IngestRequest::decode of `{"items": [token]}`)
+        let table: &[(&str, Result<f64, &str>, Decoded)] = &[
+            ("0", Ok(0.0), Ok(&[0])),
+            ("42", Ok(42.0), Ok(&[42])),
+            ("-0", Ok(0.0), Err(NOT_KEYS.0)),
+            ("-12", Ok(-12.0), Err(NOT_KEYS.0)),
+            ("0.5", Ok(0.5), Err(NOT_KEYS.0)),
+            ("1E+2", Ok(100.0), Err(NOT_KEYS.0)),
+            ("-1.5e-3", Ok(-0.0015), Err(NOT_KEYS.0)),
+            ("01", Err("bad number"), Err("bad number")),
+            ("00", Err("bad number"), Err("bad number")),
+            ("-01", Err("bad number"), Err("bad number")),
+            ("1.", Err("bad number"), Err("bad number")),
+            ("1.e5", Err("bad number"), Err("bad number")),
+            ("1e", Err("bad number"), Err("bad number")),
+            ("1e+", Err("bad number"), Err("bad number")),
+            ("-", Err("bad number"), Err("bad number")),
+            ("--1", Err("bad number"), Err("bad number")),
+            ("1e5-3", Err("bad number"), Err("bad number")),
+            (".5", Err("expected a value"), Err("expected a value")),
+            ("+1", Err("expected a value"), Err("expected a value")),
+            ("1e400", Err("non-finite number"), Err("non-finite number")),
+        ];
+        for &(token, parsed, decoded) in table {
+            let got = parse_json(token.as_bytes());
+            match parsed {
+                Ok(n) => assert_eq!(got, Ok(JsonValue::Number(n)), "{token}"),
+                Err(e) => assert_eq!(got, Err(JsonError(e)), "{token}"),
+            }
+            assert_eq!(
+                items_of(token),
+                decoded.map(<[u64]>::to_vec).map_err(JsonError),
+                "{token}"
+            );
+        }
+        // Outside `items` too: a grammar error in any field is a 400.
+        assert_eq!(
+            IngestRequest::decode(br#"{"pad": 01, "items": [1]}"#),
+            Err(JsonError("bad number"))
+        );
+    }
+
+    #[test]
+    fn grammar_errors_win_and_the_first_items_field_counts() {
+        let cases: &[(&[u8], Decoded)] = &[
+            (br#"{"items": [1.5], "x": [}"#, Err("expected a value")),
+            (br#"{"items": "nope", "x": tru}"#, Err("bad literal")),
+            (
+                br#"{"x": 1} trailing"#,
+                Err("trailing characters after document"),
+            ),
+            (
+                br#"{"items": [-1]} ]"#,
+                Err("trailing characters after document"),
+            ),
+            (br#"{"items": [1], "items": "x"}"#, Ok(&[1])),
+            (
+                br#"{"items": "x", "items": [1]}"#,
+                Err("'items' must be an array"),
+            ),
+            (br#"{"items": [5, 6]}"#, Ok(&[5, 6])),
+            (br#"{"items": [[1]]}"#, Err(NOT_KEYS.0)),
+            (br#"{"items": []}"#, Ok(&[])),
+            (br#"[1, 2, 3]"#, Err("missing 'items' field")),
+            (br#"{"items": [1 2]}"#, Err("expected ',' or ']' in array")),
+            (br#"{"items": [1,]}"#, Err("expected a value")),
+            (b"{\"items\": [1]}\xff", Err("body is not utf-8")),
+        ];
+        for &(body, want) in cases {
+            let want = want.map(<[u64]>::to_vec).map_err(JsonError);
+            let shown = String::from_utf8_lossy(body);
+            assert_eq!(
+                IngestRequest::decode(body).map(|r| r.items),
+                want,
+                "{shown}"
+            );
+            assert_eq!(tree_decode(body), want, "{shown}");
+        }
+    }
+
+    /// The tree decoder `IngestRequest::decode` replaced: parse the whole
+    /// document, then find `items`, then convert each element with
+    /// `as_u64`. It runs on today's `parse_json`, so the RFC 8259 number
+    /// grammar applies to both sides and is pinned by
+    /// `number_grammar_follows_rfc_8259` instead.
+    fn tree_decode(body: &[u8]) -> Result<Vec<u64>, JsonError> {
+        let value = parse_json(body)?;
+        match value.get("items") {
+            Some(JsonValue::Array(items)) => {
+                items.iter().map(|v| v.as_u64().ok_or(NOT_KEYS)).collect()
+            }
+            Some(_) => Err(JsonError("'items' must be an array")),
+            None => Err(JsonError("missing 'items' field")),
+        }
+    }
+
+    /// Where the one-pass decoder may disagree with [`tree_decode`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Divergence {
+        /// The tree accepted a key spelled with a sign, fraction or
+        /// exponent (`-0`, `3.0`, `1e3`), or a digit run above 2^53 that the
+        /// `f64` rounded down to 2^53; the one-pass decoder refuses it.
+        InexactKey,
+    }
+
+    /// `Ok(None)` when both decoders agree, `Ok(Some(_))` for an allowed
+    /// divergence, `Err` describing any other disagreement.
+    fn compare(body: &[u8]) -> Result<Option<Divergence>, String> {
+        let tree = tree_decode(body);
+        let one_pass = IngestRequest::decode(body).map(|r| r.items);
+        match (&tree, &one_pass) {
+            _ if tree == one_pass => Ok(None),
+            (Ok(_), Err(e)) if *e == NOT_KEYS && has_inexact_number(body) => {
+                Ok(Some(Divergence::InexactKey))
+            }
+            _ => Err(format!(
+                "{:?}: tree {tree:?}, one pass {one_pass:?}",
+                String::from_utf8_lossy(body)
+            )),
+        }
+    }
+
+    /// Whether a grammatical `body` holds a number token other than a bare
+    /// integer in `[0, 2^53]`.
+    fn has_inexact_number(body: &[u8]) -> bool {
+        let mut i = 0;
+        while i < body.len() {
+            match body[i] {
+                b'"' => {
+                    i += 1;
+                    while body[i] != b'"' {
+                        i += if body[i] == b'\\' { 2 } else { 1 };
+                    }
+                    i += 1;
+                }
+                b'-' | b'0'..=b'9' => {
+                    let len = body[i..]
+                        .iter()
+                        .take_while(|b| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+                        .count();
+                    let token = std::str::from_utf8(&body[i..i + len]).unwrap();
+                    let exact = token.bytes().all(|b| b.is_ascii_digit())
+                        && token.parse::<u64>().is_ok_and(|k| k <= MAX_ITEM);
+                    if !exact {
+                        return true;
+                    }
+                    i += len;
+                }
+                _ => i += 1,
+            }
+        }
+        false
+    }
+
+    /// Random `POST /ingest` bodies: valid ones with keys up to and past
+    /// 2^53, unknown and nested fields around `items`, duplicate and
+    /// escaped `items` names, non-object roots and empty arrays; a third
+    /// are then truncated and a third get byte flips.
+    struct BodyGen(rand::rngs::StdRng);
+
+    impl BodyGen {
+        fn new(seed: u64) -> Self {
+            use rand::SeedableRng as _;
+            Self(rand::rngs::StdRng::seed_from_u64(seed))
+        }
+
+        fn pick<'a>(&mut self, choices: &[&'a str]) -> &'a str {
+            choices[self.0.random_range(0..choices.len())]
+        }
+
+        fn ws(&mut self, out: &mut String) {
+            while self.0.random_bool(0.3) {
+                out.push_str(self.pick(&[" ", "\t", "\n", "\r"]));
+            }
+        }
+
+        fn key(&mut self, out: &mut String) {
+            let max = 1u64 << 53;
+            match self.0.random_range(0..100u32) {
+                0..=39 => out.push_str(&self.0.random_range(0..1000u64).to_string()),
+                40..=64 => out.push_str(&self.0.random_range(0..=max).to_string()),
+                65..=69 => out.push_str(&self.0.random_range(max - 3..=max + 3).to_string()),
+                70..=74 => out.push_str(&self.0.random_range(max..=u64::MAX).to_string()),
+                75..=76 => {
+                    out.push('1');
+                    out.push_str(&"0".repeat(self.0.random_range(19..400)));
+                }
+                77..=86 => {
+                    let inexact = ["-0", "3.0", "1e3", "1E+2", "2.5", "-1", "0.0", "5e-1"];
+                    out.push_str(self.pick(&inexact));
+                }
+                87..=91 => out.push_str(self.pick(&["01", "1.", "-01", "1.e5", "-", "1e5-3"])),
+                _ => self.value(out, 2),
+            }
+        }
+
+        fn value(&mut self, out: &mut String, depth: usize) {
+            match self.0.random_range(0..10u32) {
+                0 => out.push_str(self.pick(&["null", "true", "false", "nul"])),
+                1 | 2 => {
+                    let s = [r#""""#, r#""items""#, r#""a\"b""#, r#""A\n""#, "\"é→\""];
+                    out.push_str(self.pick(&s));
+                }
+                3 | 4 => self.key(out),
+                5 if self.0.random_bool(0.2) => {
+                    // Nesting around the depth limit.
+                    let n = self.0.random_range(12..20);
+                    out.push_str(&"[".repeat(n));
+                    out.push_str(&"]".repeat(n));
+                }
+                5..=7 => {
+                    out.push('[');
+                    for i in 0..self.0.random_range(0..4) {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        self.ws(out);
+                        self.value(out, depth + 1);
+                        self.ws(out);
+                    }
+                    out.push(']');
+                }
+                _ => self.object(out, depth, false),
+            }
+        }
+
+        fn object(&mut self, out: &mut String, depth: usize, top: bool) {
+            out.push('{');
+            let names = [
+                "items",
+                "items",
+                r"it\u0065ms",
+                "item",
+                "ITEMS",
+                "x",
+                "future_flag",
+                "",
+            ];
+            for i in 0..self.0.random_range(0..5) {
+                if i > 0 {
+                    out.push(',');
+                }
+                self.ws(out);
+                let name = self.pick(&names);
+                out.push_str(&format!("\"{name}\""));
+                self.ws(out);
+                out.push(':');
+                self.ws(out);
+                if top && name.starts_with("it") && self.0.random_bool(0.85) {
+                    out.push('[');
+                    for j in 0..self.0.random_range(0..20) {
+                        if j > 0 {
+                            out.push(',');
+                        }
+                        self.ws(out);
+                        self.key(out);
+                        self.ws(out);
+                    }
+                    out.push(']');
+                } else if depth < 4 {
+                    self.value(out, depth + 1);
+                } else {
+                    self.key(out);
+                }
+                self.ws(out);
+            }
+            out.push('}');
+        }
+
+        fn body(&mut self) -> Vec<u8> {
+            let mut out = String::new();
+            self.ws(&mut out);
+            if self.0.random_bool(0.85) {
+                self.object(&mut out, 0, true);
+            } else {
+                self.value(&mut out, 0);
+            }
+            self.ws(&mut out);
+            if self.0.random_bool(0.03) {
+                out.push_str(" x");
+            }
+            let mut body = out.into_bytes();
+            match self.0.random_range(0..3u32) {
+                0 => body.truncate(self.0.random_range(0..=body.len())),
+                1 if !body.is_empty() => {
+                    for _ in 0..self.0.random_range(1..=3) {
+                        let at = self.0.random_range(0..body.len());
+                        let syntax = b"-.eE+0123456789,[]{}\": ";
+                        body[at] = if self.0.random_bool(0.8) {
+                            syntax[self.0.random_range(0..syntax.len())]
+                        } else {
+                            self.0.random()
+                        };
+                    }
+                }
+                _ => {}
+            }
+            body
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(3000))]
+
+        #[test]
+        fn one_pass_decoder_matches_tree_decoder(seed in 0u64..u64::MAX) {
+            let body = BodyGen::new(seed).body();
+            if let Err(why) = compare(&body) {
+                panic!("seed {seed}: {why}");
+            }
+        }
+    }
+
+    /// The generator reaches every outcome the differential test compares.
+    #[test]
+    fn body_generator_covers_every_outcome() {
+        let mut seen = BTreeMap::new();
+        for seed in 0..3000 {
+            let body = BodyGen::new(seed).body();
+            let outcome = match (compare(&body), IngestRequest::decode(&body)) {
+                (Ok(Some(d)), _) => format!("{d:?}"),
+                (_, Ok(r)) if r.items.is_empty() => "empty".to_string(),
+                (_, Ok(_)) => "keys".to_string(),
+                (_, Err(e)) => e.0.to_string(),
+            };
+            *seen.entry(outcome).or_insert(0u32) += 1;
+        }
+        for outcome in [
+            "InexactKey",
+            "empty",
+            "keys",
+            "items must be unsigned integers",
+            "'items' must be an array",
+            "missing 'items' field",
+            "body is not utf-8",
+            "bad number",
+            "non-finite number",
+            "nesting too deep",
+            "bad literal",
+            "trailing characters after document",
+            "expected a value",
+            "expected ',' or ']' in array",
+            "expected ',' or '}' in object",
+        ] {
+            assert!(seen.contains_key(outcome), "{outcome} never seen: {seen:?}");
+        }
     }
 }
