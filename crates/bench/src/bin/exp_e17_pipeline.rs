@@ -8,9 +8,13 @@
 
 use dpmg_bench::{banner, f2, out_dir, quick_mode, verdict};
 use dpmg_core::gshm::GshmParams;
+use dpmg_core::mechanism::{release_merged_metered, GshmMechanism};
 use dpmg_eval::experiment::Table;
-use dpmg_noise::accounting::PrivacyParams;
-use dpmg_pipeline::{PipelineConfig, SequentialBaseline, ShardedPipeline, StreamingMechanism};
+use dpmg_noise::accounting::{Accountant, PrivacyParams};
+use dpmg_pipeline::{PipelineConfig, ShardedPipeline};
+use dpmg_sketch::merge::merge_tree;
+use dpmg_sketch::misra_gries::MisraGries;
+use dpmg_sketch::traits::Summary;
 use dpmg_workload::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,14 +28,22 @@ fn stream_of(n: usize) -> Vec<u64> {
     Zipf::new(1_000_000, 1.1).stream(n, &mut rng)
 }
 
-/// Wall-clock of a full ingest (route → batch → shard workers → join).
-fn time_ingestion<M: StreamingMechanism<u64> + ?Sized>(mech: &mut M, stream: &[u64]) -> f64 {
-    let start = Instant::now();
+/// Feeds one sequential sketch of size `k` in 4096-item batches.
+fn sequential_sketch(k: usize, stream: &[u64]) -> MisraGries<u64> {
+    let mut sketch = MisraGries::new(k).unwrap();
     for chunk in stream.chunks(4096) {
-        mech.ingest_batch(chunk).expect("ingest");
+        sketch.extend_batch(chunk);
     }
-    mech.pre_noise_summary().expect("finish");
-    start.elapsed().as_secs_f64()
+    sketch
+}
+
+/// Feeds a fresh pipeline of the given configuration in 4096-item chunks.
+fn fed_pipeline(config: PipelineConfig, stream: &[u64]) -> ShardedPipeline<u64> {
+    let mut pipe = ShardedPipeline::new(config).unwrap();
+    for chunk in stream.chunks(4096) {
+        pipe.ingest_from(chunk.iter().copied()).expect("ingest");
+    }
+    pipe
 }
 
 fn main() {
@@ -52,8 +64,11 @@ fn main() {
         "E17a ingestion throughput (timing; machine-dependent)",
         &["mechanism", "ms", "Mitems/s", "speedup vs 1 shard"],
     );
-    let mut base = SequentialBaseline::new(k).unwrap();
-    let seq_secs = time_ingestion(&mut base, &stream);
+    // Wall-clock of a full ingest, up to the pre-noise summary (for the
+    // pipeline: route → batch → shard workers → seal → merge).
+    let start = Instant::now();
+    sequential_sketch(k, &stream).summary();
+    let seq_secs = start.elapsed().as_secs_f64();
     t1.row(&[
         "sequential".into(),
         f2(seq_secs * 1e3),
@@ -64,8 +79,9 @@ fn main() {
     let mut speedup8 = f64::NAN;
     for shards in SHARD_COUNTS {
         let config = PipelineConfig::new(shards, k).with_batch_size(4096);
-        let mut pipe = ShardedPipeline::new(config).unwrap();
-        let secs = time_ingestion(&mut pipe, &stream);
+        let start = Instant::now();
+        fed_pipeline(config, &stream).merged().expect("finish");
+        let secs = start.elapsed().as_secs_f64();
         if shards == 1 {
             one_shard_secs = secs;
         }
@@ -112,18 +128,22 @@ fn main() {
         &["mechanism", "max err", "seq analytic bound", "within"],
     );
     let mut accuracy_ok = true;
-    let max_err_of = |mech: &mut dyn StreamingMechanism<u64>, seed: u64| -> f64 {
-        for chunk in stream.chunks(4096) {
-            mech.ingest_batch(chunk).expect("ingest");
-        }
+    // Every row releases its merged summary once through the guarded,
+    // metered trusted-aggregator path, with GSHM.
+    let mechanism = GshmMechanism::new(params).unwrap();
+    let max_err_of = |merged: Summary<u64>, seed: u64| -> f64 {
+        let mut accountant = Accountant::new(params);
         let mut rng = StdRng::seed_from_u64(seed);
-        let hist = mech.release(params, &mut rng).expect("release");
+        let hist = release_merged_metered(&mechanism, &merged, &mut accountant, &mut rng)
+            .expect("release");
         top.iter()
             .map(|&(key, f)| (hist.estimate(&key) - f as f64).abs())
             .fold(0.0, f64::max)
     };
-    let mut base = SequentialBaseline::new(k_acc).unwrap();
-    let err = max_err_of(&mut base, 0xACC0);
+    // The sequential row is a 1-summary merge, which drops zero-count keys
+    // exactly as the pipeline's merge tree does.
+    let merged = merge_tree(&[sequential_sketch(k_acc, &stream).summary()]).expect("one summary");
+    let err = max_err_of(merged, 0xACC0);
     accuracy_ok &= err <= bound;
     t2.row(&[
         "sequential".into(),
@@ -132,8 +152,10 @@ fn main() {
         (err <= bound).to_string(),
     ]);
     for (i, shards) in SHARD_COUNTS.into_iter().enumerate() {
-        let mut pipe = ShardedPipeline::new(PipelineConfig::new(shards, k_acc)).unwrap();
-        let err = max_err_of(&mut pipe, 0xACC1 + i as u64);
+        let merged = fed_pipeline(PipelineConfig::new(shards, k_acc), &stream)
+            .merged()
+            .expect("finish");
+        let err = max_err_of(merged, 0xACC1 + i as u64);
         accuracy_ok &= err <= bound;
         t2.row(&[
             format!("pipeline-{shards}"),

@@ -21,7 +21,7 @@
 
 use dpmg_bench::{banner, f2, out_dir, quick, quick_mode, verdict};
 use dpmg_eval::experiment::Table;
-use dpmg_pipeline::{ring, shard_of_key, PipelineConfig, ShardedPipeline, StreamingMechanism};
+use dpmg_pipeline::{ring, shard_of_key, PipelineConfig, ShardedPipeline};
 use dpmg_sketch::misra_gries::{naive::NaiveMisraGries, MisraGries};
 use dpmg_workload::zipf::Zipf;
 use rand::rngs::StdRng;
@@ -284,9 +284,9 @@ fn main() {
         let mut pipe = ShardedPipeline::new(config).unwrap();
         let start = Instant::now();
         for chunk in stream.chunks(BATCH) {
-            pipe.ingest_batch(chunk).expect("ingest");
+            pipe.ingest_from(chunk.iter().copied()).expect("ingest");
         }
-        pipe.pre_noise_summary().expect("finish");
+        pipe.merged().expect("finish");
         let tput = n_sharded as f64 / start.elapsed().as_secs_f64();
         let router_tput = router_only_tput(&stream, shards);
         let efficiency = tput / single_ref_tput;

@@ -29,9 +29,7 @@ use dpmg_fleet::{
     run_process_fleet, run_worker_from_env, CrashPoint, FleetConfig, IngestMode, WorkerOutcome,
     WorkerSpec, WORKER_ENV,
 };
-use dpmg_pipeline::{
-    sequential_sharded_reference, PipelineConfig, ShardedPipeline, StreamingMechanism,
-};
+use dpmg_pipeline::{sequential_sharded_reference, PipelineConfig, ShardedPipeline};
 use dpmg_sketch::merge::merge_tree;
 use dpmg_sketch::misra_gries::MisraGries;
 use dpmg_workload::zipf::Zipf;
@@ -257,9 +255,9 @@ fn main() {
     let mut pipe = ShardedPipeline::new(config).unwrap();
     let start = Instant::now();
     for chunk in stream.chunks(BATCH) {
-        pipe.ingest_batch(chunk).expect("ingest");
+        pipe.ingest_from(chunk.iter().copied()).expect("ingest");
     }
-    pipe.pre_noise_summary().expect("finish");
+    pipe.merged().expect("finish");
     let sharded_ref_tput = n as f64 / start.elapsed().as_secs_f64();
     let start = Instant::now();
     let mut single = MisraGries::new(SHARDED_K).unwrap();

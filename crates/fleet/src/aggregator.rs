@@ -5,8 +5,9 @@
 //! raw data but release nothing; the aggregator sees only per-shard
 //! Misra–Gries summaries (whose merge has the Corollary 18 sensitivity) and
 //! performs exactly one `(ε, δ)` release per run through
-//! [`release_merged_metered`] — the same guarded path the single-process
-//! [`PrivatizedPipeline`](dpmg_pipeline::PrivatizedPipeline) uses.
+//! [`release_merged_metered`] — the same guarded path every release of a
+//! single-process [`ShardedPipeline`](dpmg_pipeline::ShardedPipeline)'s
+//! merged summary goes through.
 //!
 //! # Straggler and crash handling
 //!

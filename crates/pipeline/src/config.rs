@@ -1,18 +1,14 @@
 //! Pipeline configuration, routing policy, and error types.
 
-use dpmg_core::mechanism::{GshmMechanism, MergedLaplaceMechanism, ReleaseError, ReleaseMechanism};
-use dpmg_noise::accounting::PrivacyParams;
-use dpmg_noise::NoiseError;
-use dpmg_sketch::traits::{Item, SketchError};
+use dpmg_sketch::traits::SketchError;
 
-/// How the producer assigns stream items to shard workers.
+/// How the producer assigns stream items to shard workers. Every policy
+/// is a fixed function of the key, never of arrival position, so
+/// neighbouring datasets differ in exactly one shard's substream — the
+/// premise of the Section 7 sensitivity argument (see the crate docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Routing {
-    /// Route by a fixed (FNV-1a) hash of the key. Deterministic and
-    /// content-based, so neighbouring datasets differ in exactly one
-    /// shard's substream — the premise of the Section 7 sensitivity
-    /// argument (see the crate docs). This is the default and the only
-    /// routing under which [`crate::ShardedPipeline::release`] is allowed.
+    /// Route by a fixed (FNV-1a) hash of the key. The default.
     HashKey,
     /// Route by the same fixed key hash, but taken over a **global** shard
     /// space of `total_shards` of which this pipeline owns only the
@@ -24,9 +20,6 @@ pub enum Routing {
     /// fleet's merged summary bit-identical to the single-process one.
     /// Items hashing outside the owned block are rejected at ingest
     /// ([`PipelineError::ForeignShardKey`]) rather than silently misrouted.
-    ///
-    /// Still a fixed function of the key alone, so the Section 7
-    /// sensitivity argument holds and DP releases are permitted.
     HashKeyRange {
         /// Width of the global shard space (across all workers).
         total_shards: usize,
@@ -34,58 +27,6 @@ pub enum Routing {
         /// `shards` config field is the block width.
         first_shard: usize,
     },
-    /// Route by arrival position, cycling through the shards. Balances
-    /// load perfectly but makes the shard assignment depend on stream
-    /// positions, which voids the neighbouring-substream structure; the
-    /// pipeline refuses to perform a DP release under this policy.
-    RoundRobin,
-}
-
-impl Routing {
-    /// Whether the shard assignment is a fixed function of the key alone —
-    /// the premise of the Section 7 sensitivity argument and therefore the
-    /// precondition for every DP release path.
-    pub fn is_content_based(self) -> bool {
-        !matches!(self, Routing::RoundRobin)
-    }
-}
-
-/// Which trusted-aggregator mechanism performs the single DP release.
-///
-/// A convenience subset of the full `dpmg-core` mechanism registry — each
-/// variant resolves to its [`ReleaseMechanism`] via [`ReleaseKind::mechanism`],
-/// and the pipeline releases through that common layer. For mechanisms
-/// beyond these two, use
-/// [`PrivatizedPipeline`](crate::mechanism::PrivatizedPipeline), which
-/// accepts *any* registry mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReleaseKind {
-    /// Gaussian Sparse Histogram Mechanism exploiting the merged sketch's
-    /// ℓ2-sensitivity `√k` (the paper's Section 7 recommendation).
-    TrustedGshm,
-    /// `Laplace(k/ε)` per counter plus a threshold (the ℓ1 route).
-    TrustedLaplace,
-}
-
-impl ReleaseKind {
-    /// Resolves this kind to its release mechanism at the given privacy
-    /// parameters (`TrustedGshm` → `"gshm"`, `TrustedLaplace` →
-    /// `"merged-laplace"` — both calibrated for the Corollary 18 merged
-    /// neighbour structure).
-    ///
-    /// # Errors
-    ///
-    /// Rejects pure-DP parameters: both trusted-aggregator routes rely on
-    /// thresholding and are inherently approximate-DP.
-    pub fn mechanism<K: Item>(
-        self,
-        params: PrivacyParams,
-    ) -> Result<Box<dyn ReleaseMechanism<K>>, NoiseError> {
-        Ok(match self {
-            ReleaseKind::TrustedGshm => Box::new(GshmMechanism::new(params)?),
-            ReleaseKind::TrustedLaplace => Box::new(MergedLaplaceMechanism::new(params)?),
-        })
-    }
 }
 
 /// Configuration for [`crate::ShardedPipeline`].
@@ -104,14 +45,11 @@ pub struct PipelineConfig {
     pub channel_capacity: usize,
     /// Routing policy.
     pub routing: Routing,
-    /// Release mechanism.
-    pub release: ReleaseKind,
 }
 
 impl PipelineConfig {
     /// A configuration with `shards` workers of sketch size `k` and the
-    /// defaults: batch size 1024, channel capacity 8, [`Routing::HashKey`],
-    /// [`ReleaseKind::TrustedGshm`].
+    /// defaults: batch size 1024, channel capacity 8, [`Routing::HashKey`].
     pub fn new(shards: usize, k: usize) -> Self {
         Self {
             shards,
@@ -119,7 +57,6 @@ impl PipelineConfig {
             batch_size: 1024,
             channel_capacity: 8,
             routing: Routing::HashKey,
-            release: ReleaseKind::TrustedGshm,
         }
     }
 
@@ -129,21 +66,9 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the per-shard channel capacity (in batches).
-    pub fn with_channel_capacity(mut self, capacity: usize) -> Self {
-        self.channel_capacity = capacity;
-        self
-    }
-
     /// Sets the routing policy.
     pub fn with_routing(mut self, routing: Routing) -> Self {
         self.routing = routing;
-        self
-    }
-
-    /// Sets the release mechanism.
-    pub fn with_release(mut self, release: ReleaseKind) -> Self {
-        self.release = release;
         self
     }
 
@@ -209,11 +134,6 @@ pub enum PipelineError {
     },
     /// The underlying sketch rejected its parameters.
     Sketch(SketchError),
-    /// The release mechanism rejected its privacy parameters.
-    Noise(NoiseError),
-    /// The release mechanism failed (budget exhausted, unsupported input,
-    /// or a calibration error surfaced through the mechanism layer).
-    Mechanism(ReleaseError),
     /// A shard worker thread panicked.
     WorkerPanicked {
         /// Index of the dead shard.
@@ -221,9 +141,6 @@ pub enum PipelineError {
     },
     /// `ingest` was called after `finish`.
     AlreadyFinished,
-    /// A DP release was requested under a routing policy for which the
-    /// Section 7 sensitivity argument does not hold (see [`Routing`]).
-    NonPrivateRouting,
 }
 
 impl std::fmt::Display for PipelineError {
@@ -249,17 +166,10 @@ impl std::fmt::Display for PipelineError {
                  the stream slice was partitioned wrong"
             ),
             PipelineError::Sketch(e) => write!(f, "sketch error: {e}"),
-            PipelineError::Noise(e) => write!(f, "noise error: {e}"),
-            PipelineError::Mechanism(e) => write!(f, "release mechanism error: {e}"),
             PipelineError::WorkerPanicked { shard } => {
                 write!(f, "shard worker {shard} panicked")
             }
             PipelineError::AlreadyFinished => write!(f, "pipeline already finished"),
-            PipelineError::NonPrivateRouting => write!(
-                f,
-                "DP release requires key-hash routing; round-robin voids the \
-                 neighbouring-substream sensitivity argument"
-            ),
         }
     }
 }
@@ -268,8 +178,6 @@ impl std::error::Error for PipelineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PipelineError::Sketch(e) => Some(e),
-            PipelineError::Noise(e) => Some(e),
-            PipelineError::Mechanism(e) => Some(e),
             _ => None,
         }
     }
@@ -278,23 +186,6 @@ impl std::error::Error for PipelineError {
 impl From<SketchError> for PipelineError {
     fn from(e: SketchError) -> Self {
         PipelineError::Sketch(e)
-    }
-}
-
-impl From<NoiseError> for PipelineError {
-    fn from(e: NoiseError) -> Self {
-        PipelineError::Noise(e)
-    }
-}
-
-impl From<ReleaseError> for PipelineError {
-    fn from(e: ReleaseError) -> Self {
-        // Unwrap plain noise failures to the long-standing variant so
-        // existing callers keep matching on `PipelineError::Noise`.
-        match e {
-            ReleaseError::Noise(noise) => PipelineError::Noise(noise),
-            other => PipelineError::Mechanism(other),
-        }
     }
 }
 
@@ -307,7 +198,6 @@ mod tests {
         let c = PipelineConfig::new(4, 64);
         assert!(c.validate().is_ok());
         assert_eq!(c.routing, Routing::HashKey);
-        assert_eq!(c.release, ReleaseKind::TrustedGshm);
         assert_eq!(c.batch_size, 1024);
     }
 
@@ -315,13 +205,18 @@ mod tests {
     fn builders_apply() {
         let c = PipelineConfig::new(2, 8)
             .with_batch_size(7)
-            .with_channel_capacity(3)
-            .with_routing(Routing::RoundRobin)
-            .with_release(ReleaseKind::TrustedLaplace);
+            .with_routing(Routing::HashKeyRange {
+                total_shards: 4,
+                first_shard: 2,
+            });
         assert_eq!(c.batch_size, 7);
-        assert_eq!(c.channel_capacity, 3);
-        assert_eq!(c.routing, Routing::RoundRobin);
-        assert_eq!(c.release, ReleaseKind::TrustedLaplace);
+        assert_eq!(
+            c.routing,
+            Routing::HashKeyRange {
+                total_shards: 4,
+                first_shard: 2
+            }
+        );
     }
 
     #[test]
@@ -334,10 +229,12 @@ mod tests {
             PipelineConfig::new(1, 8).with_batch_size(0).validate(),
             Err(PipelineError::InvalidBatchSize(0))
         ));
+        let no_capacity = PipelineConfig {
+            channel_capacity: 0,
+            ..PipelineConfig::new(1, 8)
+        };
         assert!(matches!(
-            PipelineConfig::new(1, 8)
-                .with_channel_capacity(0)
-                .validate(),
+            no_capacity.validate(),
             Err(PipelineError::InvalidChannelCapacity(0))
         ));
     }
@@ -347,9 +244,9 @@ mod tests {
         let e = PipelineError::Sketch(SketchError::InvalidK(0));
         assert!(e.to_string().contains("sketch error"));
         assert!(std::error::Error::source(&e).is_some());
-        assert!(PipelineError::NonPrivateRouting
+        assert!(PipelineError::ForeignShardKey { global_shard: 5 }
             .to_string()
-            .contains("key-hash"));
+            .contains("global shard 5"));
         assert!(std::error::Error::source(&PipelineError::AlreadyFinished).is_none());
     }
 }

@@ -2,13 +2,9 @@
 
 use crate::config::{PipelineConfig, PipelineError, Routing};
 use crate::ring;
-use dpmg_core::mechanism::ReleaseMechanism;
-use dpmg_core::pmg::PrivateHistogram;
-use dpmg_noise::accounting::PrivacyParams;
 use dpmg_sketch::merge::{merge, merge_tree};
 use dpmg_sketch::misra_gries::MisraGries;
 use dpmg_sketch::traits::{Item, Summary};
-use rand::{Rng, RngCore};
 use std::hash::{Hash, Hasher};
 use std::thread::JoinHandle;
 
@@ -65,6 +61,32 @@ pub fn shard_of_key<K: Hash + ?Sized>(key: &K, shards: usize) -> usize {
     (h.finish() % shards as u64) as usize
 }
 
+/// Convenience for tests and experiments: the sequential reference of a
+/// hash-sharded run — partition `stream` with [`crate::shard_of_key`],
+/// sketch each shard inline, and merge with the same tree shape the
+/// pipeline uses. A correctly functioning pipeline produces *identical*
+/// per-shard summaries and merged summary.
+///
+/// # Panics
+///
+/// Panics if `shards = 0` or `k = 0`.
+pub fn sequential_sharded_reference<K: Item>(
+    stream: &[K],
+    shards: usize,
+    k: usize,
+) -> (Vec<Summary<K>>, Summary<K>) {
+    assert!(shards >= 1, "shards must be ≥ 1");
+    let mut sketches: Vec<MisraGries<K>> = (0..shards)
+        .map(|_| MisraGries::new(k).expect("k validated by caller"))
+        .collect();
+    for item in stream {
+        sketches[shard_of_key(item, shards)].update(item.clone());
+    }
+    let summaries: Vec<Summary<K>> = sketches.iter().map(|s| s.summary()).collect();
+    let merged = merge_tree(&summaries).unwrap_or_else(|| Summary::empty(k));
+    (summaries, merged)
+}
+
 /// What the router sends a shard worker over the forward ring.
 enum ToWorker<K> {
     /// A filled batch block; the worker sketches it and gives the cleared
@@ -119,8 +141,8 @@ pub struct PipelineStats {
 /// architecture and the privacy argument.
 ///
 /// The end state of the pipeline is a deterministic function of the
-/// ingested stream and the configuration — routing is content/position
-/// based, each worker applies its batches in send order, and the merge
+/// ingested stream and the configuration — routing is a fixed function of
+/// the key, each worker applies its batches in send order, and the merge
 /// tree shape is fixed — so results are reproducible regardless of thread
 /// scheduling.
 pub struct ShardedPipeline<K: Item + Send + 'static> {
@@ -128,7 +150,6 @@ pub struct ShardedPipeline<K: Item + Send + 'static> {
     buffers: Vec<Vec<K>>,
     links: Vec<ShardLink<K>>,
     workers: Vec<JoinHandle<MisraGries<K>>>,
-    rr_cursor: usize,
     items: u64,
     batches: u64,
     shard_lens: Vec<u64>,
@@ -139,8 +160,8 @@ pub struct ShardedPipeline<K: Item + Send + 'static> {
     /// one summary and folded into [`Self::merged`]). `None` between
     /// epochs and after every rotation.
     carry: Option<Summary<K>>,
-    /// First shard whose worker panicked; once set, every finish/summary/
-    /// release call keeps failing instead of serving partial results.
+    /// First shard whose worker panicked; once set, every finish/summary
+    /// call keeps failing instead of serving partial results.
     poisoned: Option<usize>,
 }
 
@@ -254,7 +275,6 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
             buffers: vec![Vec::with_capacity(config.batch_size); config.shards],
             links: Vec::with_capacity(config.shards),
             workers: Vec::with_capacity(config.shards),
-            rr_cursor: 0,
             items,
             batches: 0,
             shard_lens: Vec::new(),
@@ -281,7 +301,7 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
         }
     }
 
-    fn route(&mut self, item: &K) -> Result<usize, PipelineError> {
+    fn route(&self, item: &K) -> Result<usize, PipelineError> {
         match self.config.routing {
             Routing::HashKey => Ok(shard_of_key(item, self.config.shards)),
             Routing::HashKeyRange {
@@ -299,16 +319,6 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
                     return Err(PipelineError::ForeignShardKey { global_shard });
                 }
                 Ok(local)
-            }
-            Routing::RoundRobin => {
-                let shard = self.rr_cursor;
-                // Wrap on compare — a predictable branch instead of an
-                // integer division on the per-item path.
-                self.rr_cursor += 1;
-                if self.rr_cursor == self.config.shards {
-                    self.rr_cursor = 0;
-                }
-                Ok(shard)
             }
         }
     }
@@ -381,8 +391,8 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
     /// the pipeline, and are joined on drop. Ingestion is refused until
     /// then. Idempotent on success; after a worker panic the pipeline is
     /// poisoned and every further call keeps returning the error rather
-    /// than serving partial results. Called implicitly by the
-    /// summary/release accessors.
+    /// than serving partial results. Called implicitly by the summary
+    /// accessors.
     ///
     /// # Errors
     ///
@@ -413,8 +423,9 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
     /// The pre-noise merged summary: binary merge tree over the shard
     /// summaries (finishing ingestion first), folded with the
     /// [`Self::reshard`] carry when the epoch was live-resharded. This is
-    /// NOT private — it is the quantity the Lemma 17 / Corollary 18
-    /// invariant tests inspect.
+    /// NOT private: it is the input of the one DP release
+    /// (`release_merged_metered` in `dpmg-core`), and the quantity the
+    /// Lemma 17 / Corollary 18 invariant tests inspect.
     ///
     /// # Errors
     ///
@@ -438,32 +449,6 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
         self.carry.as_ref()
     }
 
-    /// Performs the single `(ε, δ)`-DP release of the merge-tree summary
-    /// with the configured [`ReleaseKind`], resolved through the
-    /// `dpmg-core` mechanism registry ([`ReleaseKind::mechanism`]);
-    /// [`Self::merged`] is exactly the pre-noise input of this release.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::NonPrivateRouting`] under [`Routing::RoundRobin`]
-    /// (the sensitivity argument requires key-based routing; see the crate
-    /// docs — both key-hash policies qualify), plus any error from
-    /// [`Self::finish`] or the mechanism layer.
-    pub fn release<R: Rng + ?Sized>(
-        &mut self,
-        params: PrivacyParams,
-        rng: &mut R,
-    ) -> Result<PrivateHistogram<K>, PipelineError> {
-        if !self.config.routing.is_content_based() {
-            return Err(PipelineError::NonPrivateRouting);
-        }
-        let merged = self.merged()?;
-        let mechanism = self.config.release.mechanism::<K>(params)?;
-        let mut rng = rng;
-        let hist = mechanism.release(&merged, &mut rng as &mut dyn RngCore)?;
-        Ok(hist)
-    }
-
     /// The epoch hook: seals the in-flight epoch ([`Self::finish`], unless
     /// the caller already did) and returns its pre-noise merged summary
     /// together with the epoch's ingestion counters, then reopens the
@@ -484,7 +469,6 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
     pub fn rotate_epoch(&mut self) -> Result<(Summary<K>, PipelineStats), PipelineError> {
         let merged = self.merged()?;
         let stats = self.stats();
-        self.rr_cursor = 0;
         self.items = 0;
         self.batches = 0;
         self.shard_lens = Vec::new();
@@ -549,7 +533,6 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
         self.config = resharded;
         self.spawn_workers(Self::fresh_sketches(&self.config)?);
         self.buffers = vec![Vec::with_capacity(self.config.batch_size); self.config.shards];
-        self.rr_cursor = 0;
         self.shard_lens = Vec::new();
         Ok(())
     }
@@ -661,7 +644,22 @@ impl<K: Item + Send + 'static> Drop for ShardedPipeline<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpmg_core::mechanism::{release_merged_metered, GshmMechanism};
+    use dpmg_noise::accounting::{Accountant, PrivacyParams};
     use rand::SeedableRng;
+
+    /// Releases the pipeline's merged summary once through the guarded,
+    /// metered `dpmg-core` path with GSHM, and checks the release was
+    /// charged exactly once.
+    fn release_once(pipe: &mut ShardedPipeline<u64>, seed: u64) {
+        let params = PrivacyParams::new(0.9, 1e-8).unwrap();
+        let mechanism = GshmMechanism::new(params).unwrap();
+        let mut accountant = Accountant::new(params);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let merged = pipe.merged().unwrap();
+        release_merged_metered(&mechanism, &merged, &mut accountant, &mut rng).unwrap();
+        assert_eq!(accountant.charges(), 1);
+    }
 
     /// A key whose equality check panics when both sides are [`Self::BOMB`]
     /// — that is, on the sketch table probe of a repeated sentinel. The
@@ -715,11 +713,7 @@ mod tests {
         ("rotate_epoch", |p| p.rotate_epoch().map(drop)),
         ("checkpoint_sketches", |p| p.checkpoint_sketches().map(drop)),
         ("finish", ShardedPipeline::finish),
-        ("release", |p| {
-            let params = PrivacyParams::new(0.9, 1e-8).unwrap();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-            p.release(params, &mut rng).map(drop)
-        }),
+        ("merged", |p| p.merged().map(drop)),
         ("reshard", |p| p.reshard(3)),
     ];
 
@@ -826,22 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_refuses_release() {
-        let config = PipelineConfig::new(2, 8).with_routing(Routing::RoundRobin);
-        let mut pipe = ShardedPipeline::<u64>::new(config).unwrap();
-        pipe.ingest_from(0..100u64).unwrap();
-        let params = PrivacyParams::new(0.9, 1e-8).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        assert!(matches!(
-            pipe.release(params, &mut rng),
-            Err(PipelineError::NonPrivateRouting)
-        ));
-        // The non-private summaries remain available.
-        pipe.finish().unwrap();
-        assert_eq!(pipe.stats().shard_stream_lens.iter().sum::<u64>(), 100);
-    }
-
-    #[test]
     fn rotate_epoch_resets_state_and_matches_per_epoch_reference() {
         let mut pipe =
             ShardedPipeline::<u64>::new(PipelineConfig::new(3, 8).with_batch_size(7)).unwrap();
@@ -866,10 +844,8 @@ mod tests {
         assert_eq!(merged2, fresh2.merged().unwrap());
 
         // The rotated pipeline is still fully usable, including release.
-        let params = PrivacyParams::new(0.9, 1e-8).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         pipe.ingest_from(std::iter::repeat_n(7u64, 1000)).unwrap();
-        assert!(pipe.release(params, &mut rng).is_ok());
+        release_once(&mut pipe, 2);
     }
 
     #[test]
@@ -1072,10 +1048,8 @@ mod tests {
             }
         }
         assert!(ingested > 0 && rejected > 0);
-        // Key-hash range routing is content-based: release is permitted.
-        let params = PrivacyParams::new(0.9, 1e-8).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        assert!(pipe.release(params, &mut rng).is_ok());
+        // The owned block's merged summary releases like any other.
+        release_once(&mut pipe, 5);
     }
 
     #[test]
@@ -1099,16 +1073,5 @@ mod tests {
             first_shard: 0,
         });
         assert!(ShardedPipeline::<u64>::new(config).is_ok());
-    }
-
-    #[test]
-    fn round_robin_splits_by_position() {
-        let config = PipelineConfig::new(4, 8)
-            .with_routing(Routing::RoundRobin)
-            .with_batch_size(3);
-        let mut pipe = ShardedPipeline::<u64>::new(config).unwrap();
-        pipe.ingest_from(std::iter::repeat_n(7u64, 103)).unwrap();
-        pipe.finish().unwrap();
-        assert_eq!(pipe.stats().shard_stream_lens, vec![26, 26, 26, 25]);
     }
 }

@@ -1,12 +1,14 @@
-//! Sharded streaming ingestion with one trusted differentially private
-//! release — the production deployment of the paper's Section 7.
+//! Sharded streaming ingestion — the ingestion half of the paper's
+//! Section 7 deployment. The pipeline ends at the pre-noise merged
+//! summary; its one differentially private release is
+//! `dpmg_core::mechanism::release_merged_metered`.
 //!
 //! # Architecture
 //!
 //! ```text
 //!                    ┌── SPSC block ring ⇄ ──▶ shard worker 0: MisraGries(k) ─┐
-//! producer ─ router ─┼── SPSC block ring ⇄ ──▶ shard worker 1: MisraGries(k) ─┼─▶ merge tree ─▶ one DP release
-//!  (batches)         └── SPSC block ring ⇄ ──▶ shard worker S−1 …            ─┘   (sketch::merge)   (core::merged)
+//! producer ─ router ─┼── SPSC block ring ⇄ ──▶ shard worker 1: MisraGries(k) ─┼─▶ merge tree ─▶ merged()
+//!  (batches)         └── SPSC block ring ⇄ ──▶ shard worker S−1 …            ─┘   (sketch::merge)
 //! ```
 //!
 //! [`ShardedPipeline`] routes each item to one of `S` shard workers by a
@@ -20,10 +22,9 @@
 //! shape inline and is the differential-testing oracle for the threaded
 //! engine. When an epoch is sealed, the per-shard summaries are combined
 //! with the binary merge tree of
-//! [`sketch::merge`](dpmg_sketch::merge::merge_tree) and released **once**
-//! through the trusted-aggregator mechanisms of
-//! [`core::merged`](dpmg_core::merged) — by default the Gaussian Sparse
-//! Histogram Mechanism the paper recommends at the end of Section 7.
+//! [`sketch::merge`](dpmg_sketch::merge::merge_tree) into
+//! [`ShardedPipeline::merged`], the pre-noise summary that the caller
+//! releases **once**.
 //!
 //! # Worker lifecycle
 //!
@@ -37,15 +38,16 @@
 //! that the worker keeps its sketch.
 //! Only [`ShardedPipeline::reshard`] joins a generation and spawns the
 //! next one, at the new width; dropping the pipeline joins the last one.
-//! The merge tree and the release are unchanged by this, so releases stay
+//! The merge tree is unchanged by this, so merged summaries stay
 //! bit-identical to the [`sequential_sharded_reference`].
 //!
 //! # Why the sharded release is private (Section 7)
 //!
-//! Neighbouring datasets `S ≃ S'` differ in one element. Because the router
-//! is a *fixed function of the key* — never of arrival position — removing
-//! one element changes exactly one shard's substream, by exactly that
-//! element; every other shard sees an identical stream. Then:
+//! Neighbouring datasets `S ≃ S'` differ in one element. Every [`Routing`]
+//! is a *fixed function of the key* — never of arrival position — so
+//! removing one element changes exactly one shard's substream, by exactly
+//! that element; every other shard sees an identical stream. Then every
+//! merged summary the pipeline produces has the Corollary 18 structure:
 //!
 //! * **Lemma 8** (per shard): the two Misra-Gries sketches of the affected
 //!   shard's neighbouring substreams differ one-sidedly by at most 1, either
@@ -63,41 +65,34 @@
 //!   most `M/(k+1)` where `M` is the *total* stream length, so sharding
 //!   costs nothing in the sketch error bound either.
 //!
-//! [`Routing::RoundRobin`] deliberately breaks the premise of this argument
-//! (removing one element shifts the shard assignment of every later item),
-//! so [`ShardedPipeline::release`] refuses to run under it; it exists for
-//! non-private throughput studies only.
-//!
-//! # Comparing ingestion strategies
-//!
-//! The [`StreamingMechanism`] trait gives the experiment binaries
-//! (`exp_e17_pipeline`) and benches a common surface over the pipeline and
-//! the single-threaded [`SequentialBaseline`], which uses the *same* sketch
-//! size and release mechanism so error comparisons isolate the effect of
-//! sharding.
+//! The release therefore goes through
+//! `dpmg_core::mechanism::release_merged_metered`, which refuses any
+//! mechanism not calibrated for that structure before drawing noise or
+//! charging the budget:
 //!
 //! ```
+//! use dpmg_core::mechanism::{release_merged_metered, GshmMechanism};
+//! use dpmg_noise::accounting::{Accountant, PrivacyParams};
 //! use dpmg_pipeline::{PipelineConfig, ShardedPipeline};
-//! use dpmg_noise::accounting::PrivacyParams;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut pipe = ShardedPipeline::new(PipelineConfig::new(4, 64)).unwrap();
 //! pipe.ingest_from((0..10_000u64).map(|i| if i % 2 == 0 { 7 } else { i })).unwrap();
-//! let mut rng = StdRng::seed_from_u64(42);
 //! let params = PrivacyParams::new(0.9, 1e-8).unwrap();
-//! let released = pipe.release(params, &mut rng).unwrap();
+//! let mechanism = GshmMechanism::new(params).unwrap();
+//! let mut accountant = Accountant::new(params);
+//! let mut rng = StdRng::seed_from_u64(42);
+//! let merged = pipe.merged().unwrap();
+//! let released = release_merged_metered(&mechanism, &merged, &mut accountant, &mut rng).unwrap();
 //! assert!(released.estimate(&7) > 3_000.0);
+//! assert_eq!(accountant.charges(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
 
 pub mod config;
 pub mod engine;
-pub mod mechanism;
 pub mod ring;
 
-pub use config::{PipelineConfig, PipelineError, ReleaseKind, Routing};
-pub use engine::{shard_of_key, PipelineStats, ShardedPipeline};
-pub use mechanism::{
-    sequential_sharded_reference, PrivatizedPipeline, SequentialBaseline, StreamingMechanism,
-};
+pub use config::{PipelineConfig, PipelineError, Routing};
+pub use engine::{sequential_sharded_reference, shard_of_key, PipelineStats, ShardedPipeline};

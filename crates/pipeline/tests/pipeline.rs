@@ -3,12 +3,11 @@
 //! per-shard summaries, identical merged summary — for every stream,
 //! shard count, and batch size.
 
-use dpmg_noise::accounting::PrivacyParams;
-use dpmg_pipeline::{
-    sequential_sharded_reference, shard_of_key, PipelineConfig, SequentialBaseline,
-    ShardedPipeline, StreamingMechanism,
-};
+use dpmg_core::mechanism::{release_merged_metered, GshmMechanism};
+use dpmg_noise::accounting::{Accountant, PrivacyParams};
+use dpmg_pipeline::{sequential_sharded_reference, shard_of_key, PipelineConfig, ShardedPipeline};
 use dpmg_sketch::merge::merged_error_bound;
+use dpmg_sketch::misra_gries::MisraGries;
 use dpmg_workload::zipf::Zipf;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -73,11 +72,15 @@ fn release_recovers_heavy_hitters_across_shard_counts() {
         stream.push(if i % 3 == 0 { 1 + i % 2 } else { 100 + i % 700 });
     }
     let params = PrivacyParams::new(0.9, 1e-8).unwrap();
+    let mechanism = GshmMechanism::new(params).unwrap();
     for shards in [1usize, 2, 8] {
         let mut pipe = ShardedPipeline::new(PipelineConfig::new(shards, 128)).unwrap();
         pipe.ingest_from(stream.iter().copied()).unwrap();
+        let mut accountant = Accountant::new(params);
         let mut rng = StdRng::seed_from_u64(23);
-        let hist = pipe.release(params, &mut rng).unwrap();
+        let merged = pipe.merged().unwrap();
+        let hist = release_merged_metered(&mechanism, &merged, &mut accountant, &mut rng).unwrap();
+        assert_eq!(accountant.charges(), 1, "{shards} shards");
         for key in [1u64, 2] {
             // 5_000 occurrences each; merged error ≤ 30_000/129 ≈ 232.
             assert!(
@@ -91,17 +94,17 @@ fn release_recovers_heavy_hitters_across_shard_counts() {
 
 #[test]
 fn pipeline_and_sequential_baseline_agree_on_single_shard_merged() {
-    // A 1-shard hash-routed pipeline is exactly the sequential baseline.
+    // A 1-shard hash-routed pipeline is exactly one sequential sketch.
     let stream: Vec<u64> = (0..10_000u64).map(|i| i % 101).collect();
     let mut pipe = ShardedPipeline::new(PipelineConfig::new(1, 32)).unwrap();
     pipe.ingest_from(stream.iter().copied()).unwrap();
-    let mut base = SequentialBaseline::new(32).unwrap();
-    base.ingest_batch(&stream).unwrap();
+    let mut base = MisraGries::new(32).unwrap();
+    base.extend_batch(&stream);
     // The merge canonicalizes zero-count keys away (Section 7 treats them
     // as absent), so compare positive supports.
-    let mut base_summary = base.pre_noise_summary().unwrap();
+    let mut base_summary = base.summary();
     base_summary.entries.retain(|_, c| *c > 0);
-    assert_eq!(pipe.pre_noise_summary().unwrap(), base_summary);
+    assert_eq!(pipe.merged().unwrap(), base_summary);
 }
 
 proptest! {
@@ -119,9 +122,10 @@ proptest! {
         batch_size in 1usize..100,
         capacity in 1usize..4,
     ) {
-        let config = PipelineConfig::new(shards, k)
-            .with_batch_size(batch_size)
-            .with_channel_capacity(capacity);
+        let config = PipelineConfig {
+            channel_capacity: capacity,
+            ..PipelineConfig::new(shards, k).with_batch_size(batch_size)
+        };
         let mut pipe = ShardedPipeline::new(config).unwrap();
         pipe.ingest_from(stream.iter().copied()).unwrap();
         let (ref_summaries, ref_merged) = sequential_sharded_reference(&stream, shards, k);
@@ -129,7 +133,7 @@ proptest! {
         prop_assert_eq!(pipe.merged().unwrap(), ref_merged);
     }
 
-    /// Ingesting through the trait in arbitrary chunkings changes nothing.
+    /// Ingesting in arbitrary chunkings changes nothing.
     #[test]
     fn prop_chunking_is_invisible(
         stream in proptest::collection::vec(0u64..12, 0..400),
@@ -137,7 +141,7 @@ proptest! {
     ) {
         let mut a = ShardedPipeline::new(PipelineConfig::new(3, 5).with_batch_size(7)).unwrap();
         for part in stream.chunks(chunk) {
-            a.ingest_batch(part).unwrap();
+            a.ingest_from(part.iter().copied()).unwrap();
         }
         let mut b = ShardedPipeline::new(PipelineConfig::new(3, 5).with_batch_size(7)).unwrap();
         b.ingest_from(stream.iter().copied()).unwrap();

@@ -153,9 +153,10 @@ fn tiny_capacity_contention_stress() {
         .collect();
     let (ref_summaries, ref_merged) = sequential_sharded_reference(&stream, 4, 32);
     for capacity in [1usize, 2] {
-        let config = PipelineConfig::new(4, 32)
-            .with_batch_size(64)
-            .with_channel_capacity(capacity);
+        let config = PipelineConfig {
+            channel_capacity: capacity,
+            ..PipelineConfig::new(4, 32).with_batch_size(64)
+        };
         let mut pipe = ShardedPipeline::new(config).unwrap();
         pipe.ingest_from(stream.iter().copied()).unwrap();
         assert_eq!(
@@ -171,13 +172,18 @@ fn tiny_capacity_contention_stress() {
     }
 }
 
-/// The round-robin cursor (wrap-on-compare) must still cycle positions
-/// exactly, and the hoisted `ingest_from` checks must not change results:
-/// both are regression-compared against the per-item `ingest` path.
+/// The hoisted `ingest_from` checks must not change results under either
+/// routing — the whole-space key hash, and the fleet's block of a global
+/// shard space: both are regression-compared against the per-item
+/// `ingest` path.
 #[test]
-fn round_robin_and_hoisted_checks_match_per_item_path() {
+fn hoisted_checks_match_per_item_path() {
     let stream: Vec<u64> = (0..10_007u64).map(|i| i % 91).collect();
-    for routing in [Routing::HashKey, Routing::RoundRobin] {
+    let fleet_block = Routing::HashKeyRange {
+        total_shards: 3,
+        first_shard: 0,
+    };
+    for routing in [Routing::HashKey, fleet_block] {
         let config = PipelineConfig::new(3, 16)
             .with_batch_size(17)
             .with_routing(routing);

@@ -51,8 +51,6 @@ pub struct ServiceConfig {
     pub k: usize,
     /// Items buffered per shard before a batch is dispatched.
     pub batch_size: usize,
-    /// Batches in flight per shard channel (backpressure).
-    pub channel_capacity: usize,
     /// Close an epoch automatically every `epoch_len` ingested items
     /// (`None`: epochs end only on explicit [`crate::DpmgService::end_epoch`]
     /// ticks).
@@ -63,14 +61,13 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A configuration with `shards` workers of sketch size `k` and the
-    /// defaults: batch size 1024, channel capacity 8, explicit epoch ticks,
+    /// defaults: batch size 1024, explicit epoch ticks,
     /// [`ServiceMode::Independent`].
     pub fn new(shards: usize, k: usize) -> Self {
         Self {
             shards,
             k,
             batch_size: 1024,
-            channel_capacity: 8,
             epoch_len: None,
             mode: ServiceMode::Independent,
         }
@@ -79,12 +76,6 @@ impl ServiceConfig {
     /// Sets the per-shard batch size.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
-        self
-    }
-
-    /// Sets the per-shard channel capacity (in batches).
-    pub fn with_channel_capacity(mut self, capacity: usize) -> Self {
-        self.channel_capacity = capacity;
         self
     }
 
@@ -100,13 +91,10 @@ impl ServiceConfig {
         self
     }
 
-    /// The pipeline configuration the ingestion engine runs with. Routing
-    /// is always key-hash — the service performs DP releases, and only
-    /// key-based routing supports the Section 7 sensitivity argument.
+    /// The pipeline configuration the ingestion engine runs with: key-hash
+    /// routing and the pipeline's default channel capacity.
     pub fn pipeline_config(&self) -> PipelineConfig {
-        PipelineConfig::new(self.shards, self.k)
-            .with_batch_size(self.batch_size)
-            .with_channel_capacity(self.channel_capacity)
+        PipelineConfig::new(self.shards, self.k).with_batch_size(self.batch_size)
     }
 
     /// Checks the structural parameters.
@@ -236,11 +224,9 @@ mod tests {
         assert_eq!(c.epoch_len, None);
         let c = c
             .with_batch_size(7)
-            .with_channel_capacity(3)
             .with_epoch_len(500)
             .with_mode(ServiceMode::Continual { max_epochs: 16 });
         assert_eq!(c.batch_size, 7);
-        assert_eq!(c.channel_capacity, 3);
         assert_eq!(c.epoch_len, Some(500));
         assert_eq!(c.mode, ServiceMode::Continual { max_epochs: 16 });
         assert!(c.validate().is_ok());

@@ -49,11 +49,11 @@
 //! `MergedOneSided`-calibrated mechanisms (`gshm`, `merged-laplace`) at
 //! `shards > 1` — and in continual mode at *every* shard count, because
 //! the dyadic tree merges epoch summaries into its level ≥ 1 nodes —
-//! exactly like `PrivatizedPipeline`. Across epochs,
-//! independent mode is basic sequential composition — metered per release;
-//! continual mode is the dyadic-tree argument of `core::continual` —
-//! charged once for the `L`-level composition. Queries are post-processing
-//! of released snapshots and cost nothing.
+//! the same guard as `dpmg_core::mechanism::release_merged_metered`.
+//! Across epochs, independent mode is basic sequential composition —
+//! metered per release; continual mode is the dyadic-tree argument of
+//! `core::continual` — charged once for the `L`-level composition.
+//! Queries are post-processing of released snapshots and cost nothing.
 
 #![forbid(unsafe_code)]
 

@@ -104,12 +104,13 @@ impl<K: Item> EpochCore<K> {
         config.validate()?;
         // Merged summaries have the Corollary 18 neighbour structure, so
         // they may only be released by MergedOneSided-calibrated mechanisms
-        // (mirroring PrivatizedPipeline). Epochs are merges at shards > 1;
-        // in continual mode the dyadic tree additionally *merges epoch
-        // summaries into level ≥ 1 nodes at every shard count*, and in
-        // windowed mode every release input is the merge of the window's
-        // epoch summaries, so the guard must fire there too. Only a
-        // single-shard Independent service admits the whole registry.
+        // (the guard of release_merged_metered). Epochs are merges at
+        // shards > 1; in continual mode the dyadic tree additionally
+        // *merges epoch summaries into level ≥ 1 nodes at every shard
+        // count*, and in windowed mode every release input is the merge
+        // of the window's epoch summaries, so the guard must fire there
+        // too. Only a single-shard Independent service admits the whole
+        // registry.
         let releases_merged_summaries = config.shards > 1
             || matches!(
                 config.mode,
@@ -145,7 +146,7 @@ impl<K: Item> EpochCore<K> {
             }
             ServiceMode::Windowed { window_epochs } => Engine::Windowed {
                 mechanism,
-                window: VecDeque::with_capacity(window_epochs as usize),
+                window: VecDeque::new(),
                 window_epochs,
             },
         };

@@ -335,6 +335,25 @@ fn windowed_mode_with_w_1_serves_each_epoch_in_isolation() {
 }
 
 #[test]
+fn windowed_mode_with_unbounded_width_constructs_and_releases() {
+    // The window starts empty and grows to at most W entries, so a huge W
+    // must not ask the allocator for W summaries up front.
+    let config = ServiceConfig::new(1, 8).with_mode(ServiceMode::Windowed {
+        window_epochs: u64::MAX,
+    });
+    let mut svc = DpmgService::new(config, laplace_mech(), big_budget(), 47).unwrap();
+    for epoch in 1..=2u64 {
+        svc.ingest_from(std::iter::repeat_n(1u64, 10_000)).unwrap();
+        assert_eq!(svc.end_epoch().unwrap().epoch, epoch);
+    }
+    assert_eq!(svc.accountant().charges(), 2);
+    assert!(
+        svc.latest().point_query(&1) > 15_000.0,
+        "both epochs stay in the window"
+    );
+}
+
+#[test]
 fn windowed_guard_admits_only_merged_calibrated_mechanisms() {
     // Window summaries are Corollary 18 merges, so the mode applies the
     // MergedOneSided guard even at 1 shard — exactly like Continual.

@@ -85,8 +85,8 @@ pub use dpmg_workload as workload;
 pub mod prelude {
     pub use dpmg_core::heavy_hitters::{heavy_hitters, HeavyHitter};
     pub use dpmg_core::mechanism::{
-        registry, registry_generic, release_metered, MechanismSpec, Release, ReleaseError,
-        ReleaseMechanism, SensitivityModel,
+        registry, registry_generic, release_merged_metered, release_metered, MechanismSpec,
+        Release, ReleaseError, ReleaseMechanism, SensitivityModel,
     };
     pub use dpmg_core::pmg::{PrivateHistogram, PrivateMisraGries};
     pub use dpmg_fleet::{
@@ -94,9 +94,7 @@ pub mod prelude {
         WorkerSpec,
     };
     pub use dpmg_noise::accounting::{Accountant, PrivacyParams};
-    pub use dpmg_pipeline::{
-        PipelineConfig, PrivatizedPipeline, SequentialBaseline, ShardedPipeline, StreamingMechanism,
-    };
+    pub use dpmg_pipeline::{PipelineConfig, ShardedPipeline};
     pub use dpmg_server::{AppState, Server, ServerConfig, ServiceBackend, TenantRegistry};
     pub use dpmg_service::{
         DpmgService, DurabilityConfig, DurableService, OpenEpochStatus, QueryHandle,

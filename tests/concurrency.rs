@@ -2,6 +2,7 @@
 //! Section 7 driven through the `dpmg-pipeline` engine, and thread-safety
 //! of the shared experiment infrastructure.
 
+use dp_misra_gries::core::mechanism::GshmMechanism;
 use dp_misra_gries::eval::experiment::parallel_trials;
 use dp_misra_gries::pipeline::sequential_sharded_reference;
 use dp_misra_gries::prelude::*;
@@ -38,10 +39,13 @@ fn threaded_aggregation_matches_sequential_reference() {
     assert_eq!(pipe.stats().items, stream.len() as u64);
 
     // And the single trusted DP release over the threaded summaries works.
+    let params = PrivacyParams::new(0.9, 1e-8).unwrap();
+    let mechanism = GshmMechanism::new(params).unwrap();
+    let mut accountant = Accountant::new(params);
     let mut rng = StdRng::seed_from_u64(1);
-    let hist = pipe
-        .release(PrivacyParams::new(0.9, 1e-8).unwrap(), &mut rng)
-        .unwrap();
+    let merged = pipe.merged().unwrap();
+    let hist = release_merged_metered(&mechanism, &merged, &mut accountant, &mut rng).unwrap();
+    assert_eq!(accountant.charges(), 1);
     // True count per heavy key: 50_000; the merged sketch may undershoot
     // by up to M/(k+1) = 400_000/129 ≈ 3100 plus the GSHM noise/threshold.
     for key in 1..=4u64 {

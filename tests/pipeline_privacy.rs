@@ -15,6 +15,7 @@
 //!    distinguishable than the claimed `(ε, δ)` allows.
 
 use dp_misra_gries::core::gshm::GshmParams;
+use dp_misra_gries::core::mechanism::GshmMechanism;
 use dp_misra_gries::core::merged::release_merged_gshm;
 use dp_misra_gries::eval::audit::{audit_mechanism, AuditConfig};
 use dp_misra_gries::pipeline::{PipelineConfig, ShardedPipeline};
@@ -173,21 +174,26 @@ fn statistical_audit_of_pipeline_release() {
     );
 }
 
-/// End-to-end: the engine's own release on both neighbouring datasets
-/// recovers the heavy hitters within the combined sketch + noise bound,
-/// seed after seed.
+/// End-to-end: the guarded, metered release of the engine's merged summary
+/// on both neighbouring datasets recovers the heavy hitters within the
+/// combined sketch + noise bound, seed after seed.
 #[test]
 fn pipeline_release_end_to_end_on_neighbours() {
     let k = 64usize;
     let (stream, neighbour) = neighbouring_pair();
     let gshm = GshmParams::calibrate(EPS, DELTA, k).unwrap();
     let sketch_slack = (stream.len() as u64 / (k as u64 + 1)) as f64;
+    let mechanism = GshmMechanism::new(params()).unwrap();
     for data in [&stream, &neighbour] {
         for seed in 0..8u64 {
             let mut pipe = ShardedPipeline::new(PipelineConfig::new(4, k)).unwrap();
             pipe.ingest_from(data.iter().copied()).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
-            let hist = pipe.release(params(), &mut rng).unwrap();
+            let mut accountant = Accountant::new(params());
+            let merged = pipe.merged().unwrap();
+            let hist =
+                release_merged_metered(&mechanism, &merged, &mut accountant, &mut rng).unwrap();
+            assert_eq!(accountant.charges(), 1);
             for key in 1..=4u64 {
                 let est = hist.estimate(&key);
                 let truth = 2_500.0;
