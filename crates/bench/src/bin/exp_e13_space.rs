@@ -26,8 +26,9 @@ fn main() {
     );
 
     // Space accounting: the paper's 2k-word model next to the real heap
-    // footprint of the flat open-addressing layout (slot array under the
-    // ½-load capacity policy + the split eviction-bucket buffers).
+    // footprint of the slot-id store (8-byte index entries under the ½-load
+    // capacity policy, the dense key and counter arrays, and the split
+    // eviction-bucket buffers).
     let mut t1 = Table::new(
         "E13a space accounting",
         &["sketch", "k", "words", "words/k", "real bytes", "bytes/k"],
@@ -35,10 +36,10 @@ fn main() {
     let mut footprint_bounded = true;
     for k in [64usize, 1024] {
         let mg = MisraGries::<u64>::new(k).unwrap();
-        // Flat layout: max(8, 2k) slots (rounded up to a power of two) of
-        // ≤ 40 B (entry + occupancy) plus the split eviction bucket
-        // (≤ k keys + ≤ k dummy indices, ≤ 24 B/k with Vec growth slack)
-        // — a constant factor over the 16 B/k ideal.
+        // Slot-id store: max(8, 2k) index entries (rounded up to a power of
+        // two) of 8 B, 24 B/k of keys and counters, and the split eviction
+        // bucket (12 B/k), well within the bound below — a constant factor
+        // over the 16 B/k ideal.
         let slot_count = (2 * k).next_power_of_two().max(8);
         footprint_bounded &= mg.space_bytes() <= slot_count * 40 + k * 24;
         t1.row(&[

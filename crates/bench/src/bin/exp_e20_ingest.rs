@@ -5,8 +5,9 @@
 //!
 //! Three claims:
 //!
-//! 1. **Throughput** — the flat open-addressing counter store
-//!    (`sketch::flat_counters`) plus the O(1) global-decrement offset
+//! 1. **Throughput** — the dense slot-id store (fixed key and counter
+//!    arrays behind an 8-byte-entry hash index) plus the O(1)
+//!    global-decrement offset
 //!    sustains ≥ 1.5× the seed `HashMap` path's single-thread ingest rate
 //!    across the sweep (machine-dependent; excluded from the golden
 //!    snapshot, enforced relatively by the CI perf gate).
@@ -15,8 +16,8 @@
 //!    (deterministic; golden-snapshotted).
 //! 3. **Semantics & space** — the optimized sketch matches the literal
 //!    Algorithm 1 transcription slot-for-slot, satisfies the Lemma 15
-//!    counter-sum identity, and the flat layout's real footprint
-//!    (`space_bytes`) follows the documented ½-load capacity policy
+//!    counter-sum identity, and the store's real footprint
+//!    (`space_bytes`) follows the documented ½-load index capacity policy
 //!    (deterministic; golden-snapshotted).
 
 use dpmg_bench::{banner, f2, out_dir, quick, quick_mode, verdict};
@@ -347,8 +348,9 @@ fn main() {
         identity,
     );
 
-    // Space accounting of the flat layout (deterministic: the capacity
-    // policy is max(8, 2k) slots rounded up to a power of two).
+    // Space accounting of the slot-id store (deterministic: the index
+    // holds max(8, 2k) entries rounded up to a power of two). The printed
+    // "slot" count is those index entries.
     let mut t3 = Table::new(
         "E20c flat-table space (capacity policy: max(8, 2k).next_power_of_two() slots)",
         &["k", "words (2k)", "space_bytes", "bytes/slot"],

@@ -318,22 +318,27 @@ impl Response {
         }
     }
 
-    /// Serializes the response; `close` emits `Connection: close`.
+    /// Serializes the response; `close` emits `Connection: close`. Head
+    /// and body go out in one `write_all` of one buffer, so on a
+    /// `TCP_NODELAY` socket a response costs one syscall and one segment
+    /// rather than two.
     ///
     /// # Errors
     ///
     /// Socket write failure.
     pub fn write_to(&self, stream: &mut impl Write, close: bool) -> std::io::Result<()> {
-        let head = format!(
+        let mut out = Vec::with_capacity(128 + self.body.len());
+        write!(
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
             self.status,
             reason(self.status),
             self.content_type,
             self.body.len(),
             if close { "close" } else { "keep-alive" },
-        );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
+        )?;
+        out.extend_from_slice(&self.body);
+        stream.write_all(&out)?;
         stream.flush()
     }
 }
@@ -453,5 +458,55 @@ mod tests {
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.ends_with("{\"ok\":true}"));
+    }
+
+    /// Records the bytes of every `write` call separately.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_is_written_in_one_call_with_unchanged_bytes() {
+        let cases: [(Response, bool, &str); 3] = [
+            (
+                Response::json(200, "{\"ok\":true}".to_string()),
+                false,
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                 Content-Length: 11\r\nConnection: keep-alive\r\n\r\n{\"ok\":true}",
+            ),
+            (
+                Response::json(413, "{\"error\":\"too large\"}".to_string()),
+                false,
+                "HTTP/1.1 413 Payload Too Large\r\nContent-Type: application/json\r\n\
+                 Content-Length: 21\r\nConnection: keep-alive\r\n\r\n{\"error\":\"too large\"}",
+            ),
+            (
+                Response::text(200, "dpmg_requests 3\n".to_string()),
+                true,
+                "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                 Content-Length: 16\r\nConnection: close\r\n\r\ndpmg_requests 3\n",
+            ),
+        ];
+        for (response, close, want) in cases {
+            let mut log = WriteLog::default();
+            response.write_to(&mut log, close).unwrap();
+            assert_eq!(log.0.len(), 1, "status {}: one write call", response.status);
+            assert_eq!(
+                String::from_utf8(log.0.concat()).unwrap(),
+                want,
+                "status {}",
+                response.status
+            );
+        }
     }
 }

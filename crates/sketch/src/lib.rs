@@ -13,7 +13,9 @@
 //!   has dropped to zero until the slot is needed, and (iii) always evicts
 //!   the *smallest* zero-count key. Lemma 8 (neighbouring sketches share at
 //!   least `k − 2` keys and differ in the specific ways S1–S6) only holds for
-//!   this variant.
+//!   this variant. Its `k` keys and counters live in dense arrays under
+//!   fixed slot ids, behind a private open-addressing key → id index (fx
+//!   hashing, packed 8-byte entries, backward-shift deletion, ½ load).
 //! * [`misra_gries_classic`] — the textbook Misra-Gries sketch that removes
 //!   zero counters immediately; Section 5.1 shows it can also be released
 //!   privately with a larger threshold.
@@ -25,9 +27,6 @@
 //!   streams of user *sets*: counters are decremented at most once per user,
 //!   so neighbouring sketches differ by at most 1 per counter (Lemma 27)
 //!   giving ℓ2-sensitivity `√k` independent of the set size `m`.
-//! * [`flat_counters`] — the cache-friendly flat open-addressing counter
-//!   table backing the [`misra_gries`] update hot path (fx hashing, linear
-//!   probing, backward-shift deletion, documented ½-load capacity policy).
 //! * [`merge`] — the merging algorithm of Agarwal et al. \[1\] analysed in
 //!   Section 7 (Lemma 17, Corollary 18).
 //! * [`windowed`] — sliding-window and exponentially-decayed variants
@@ -48,19 +47,18 @@ pub mod count_min;
 pub mod count_sketch;
 pub mod exact;
 pub mod fixed_decrement;
-pub mod flat_counters;
 pub mod merge;
 pub mod misra_gries;
 pub mod misra_gries_classic;
 pub mod pamg;
 pub mod sensitivity_reduce;
 pub mod serialize;
+mod slot_index;
 pub mod space_saving;
 pub mod traits;
 pub mod windowed;
 
 pub use exact::ExactHistogram;
-pub use flat_counters::FlatCounters;
 pub use misra_gries::MisraGries;
 pub use misra_gries_classic::ClassicMisraGries;
 pub use pamg::PrivacyAwareMisraGries;

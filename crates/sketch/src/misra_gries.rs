@@ -32,14 +32,14 @@
 //!
 //! The smallest zero-count key is found with a **level bucket**: a
 //! key-sorted `Vec` of the keys whose stored value equals the current
-//! minimum level. When the bucket runs dry, one linear pass over the flat
-//! table finds the new minimum stored value and collects every key at it
-//! (`O(k)`, cache-friendly — the table is one contiguous array); the
+//! minimum level. When the bucket runs dry, one linear pass over the
+//! contiguous counter array finds the new minimum stored value and a
+//! second collects every key at it (`O(k)`, cache-friendly); the
 //! collected keys are sorted descending so Branch 3 pops eviction victims
 //! off the tail in exactly the `(counter, key)`-lexicographic order
 //! Algorithm 1 requires, at `O(1)` per eviction. A bucketed key goes
 //! *stale* when its counter is incremented (Branch 1); stale candidates
-//! are detected by one table probe at pop time and simply discarded — the
+//! are detected by one index probe at pop time and simply discarded — the
 //! next scan rediscovers them at their new level. Scan levels strictly
 //! increase and each level the minimum visits is paid for by a Branch-2
 //! offset step (bounded by `α ≤ n/(k+1)`), so the scans amortize to
@@ -49,18 +49,22 @@
 //! push for the replacement key — on low-skew streams, where ~90% of
 //! elements run Branch 3, that sift dominated the per-item cost.
 //!
-//! The counters themselves live in a [`FlatCounters`] table (one
-//! contiguous open-addressing slot array, linear probing, fx hashing, ½
-//! load factor) rather than a `HashMap`: Branch 1 — the overwhelmingly
-//! common case on skewed streams — is a single multiplicative hash plus a
-//! short linear probe over consecutive cache lines, with no SipHash setup
-//! and no bucket indirection. See the [`crate::flat_counters`] module docs
-//! for the layout and the documented capacity policy. The [`naive`]
+//! **Storage.** The `k` slots have fixed ids: `keys[id]` and `stored[id]`
+//! are dense arrays, and a key and its counter never move. A slot-id
+//! index (`slot_index`, one packed 8-byte entry per slot: a 32-bit hash
+//! tag above the `u32` id, linear probing, fx hashing, ½ load factor)
+//! maps a key to its id. Branch 1 is one probe plus `stored[id] += m`.
+//! Branch 3 reuses the victim's id: the miss probe returned the empty
+//! index slot where it stopped, and candidate validation recorded the
+//! victim's index position, so the eviction writes the new entry into
+//! that slot, backward-shift-deletes the victim's entry (8-byte moves, no
+//! rehash), then overwrites `keys[id]` and `stored[id]`. That is two index
+//! walks per eviction, where a key-carrying table needs three. The [`naive`]
 //! submodule contains a literal transcription of Algorithm 1 used for
 //! differential testing; the two implementations are proptest-equivalent
 //! on every prefix of random streams.
 
-use crate::flat_counters::{fx_hash, FlatCounters, FxHasher};
+use crate::slot_index::{fx_hash, FxHasher, SlotIndex, MAX_IDS};
 use crate::traits::{FrequencyOracle, Item, SketchError, Summary, TopKSketch};
 use std::hash::{Hash, Hasher};
 
@@ -80,9 +84,8 @@ pub enum Slot<K> {
 
 /// Manual [`Hash`] with a fixed variant-tag layout (`0u8` + key for items,
 /// `1u8` + index for dummies), so [`item_hash`] can produce the exact hash
-/// of `Slot::Item(k)` from a `&K` alone — the software-pipelined batch
-/// loop hashes a window of upcoming keys before deciding whether any of
-/// them needs a `Slot` constructed at all.
+/// of `Slot::Item(k)` from a `&K` alone — the sketch probes its index with
+/// a borrowed key and constructs a `Slot` only when Branch 3 stores one.
 impl<K: Hash> Hash for Slot<K> {
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -99,9 +102,9 @@ impl<K: Hash> Hash for Slot<K> {
     }
 }
 
-/// The [`fx_hash`] of `Slot::Item(key)`, computed without constructing
-/// (or cloning into) the `Slot`. Guaranteed identical to
-/// `fx_hash(&Slot::Item(key))` by the manual [`Hash`] impl above.
+/// The fx hash of `Slot::Item(key)`, computed without constructing (or
+/// cloning into) the `Slot`. Guaranteed identical to the hash the sketch
+/// indexes `Slot::Item(key)` under by the manual [`Hash`] impl above.
 #[inline]
 pub fn item_hash<K: Hash + ?Sized>(key: &K) -> u64 {
     let mut hasher = FxHasher::default();
@@ -142,10 +145,14 @@ pub struct MisraGries<K: Item> {
     k: usize,
     /// Global decrement offset: effective counter = stored − offset.
     offset: u64,
-    /// Stored (shifted) counter per slot, in a flat open-addressing table
-    /// pre-sized for exactly `k` live entries (it never grows). Invariant:
-    /// `stored ≥ offset`, `counts.len() == k` at all times.
-    counts: FlatCounters<Slot<K>>,
+    /// The key of each slot, by slot id (`keys.len() == k`). Branch 3
+    /// overwrites its victim's entry in place; nothing else moves a key.
+    keys: Vec<Slot<K>>,
+    /// Stored (shifted) counter of each slot, by slot id. Invariant:
+    /// `stored[id] ≥ offset`.
+    stored: Vec<u64>,
+    /// Key → slot-id index over [`Self::keys`].
+    index: SlotIndex,
     /// The level bucket: keys recorded at stored value
     /// [`Self::bucket_level`], sorted *descending*, so popping from the
     /// tail yields candidates in ascending key order — the `(stored,
@@ -153,7 +160,7 @@ pub struct MisraGries<K: Item> {
     /// stored values. Entries may be stale (counter incremented since the
     /// collecting scan; staleness only ever raises the true value), which
     /// one probe at pop time detects; stale candidates are discarded.
-    /// Refilled by a linear scan of the table each time it runs dry.
+    /// Refilled by a linear scan of [`Self::stored`] each time it runs dry.
     ///
     /// Stored in exploded form — real keys here, dummy indices in
     /// [`Self::bucket_dummies`] — rather than as `Slot<K>`s: every real
@@ -167,84 +174,117 @@ pub struct MisraGries<K: Item> {
     /// only when [`Self::bucket_items`] is empty. Dummies are never
     /// incremented, so these candidates can never be stale.
     bucket_dummies: Vec<u32>,
-    /// The stored value every [`Self::bucket`] entry was recorded at.
-    /// Meaningless while the bucket is empty. Invariant: `offset ≤
-    /// bucket_level` whenever the bucket is non-empty, with equality
-    /// exactly when Branch 3 may fire.
+    /// The stored value every bucket entry was recorded at. Meaningless
+    /// while the bucket is empty. Invariant: `offset ≤ bucket_level`
+    /// whenever the bucket is non-empty, with equality exactly when
+    /// Branch 3 may fire.
     bucket_level: u64,
     /// Number of stream elements processed.
     n: u64,
     /// Number of Branch-2 (decrement-all) executions, the `α` of Lemma 15.
     decrements: u64,
     /// Whether the current minimum candidate — the bucket's tail entry —
-    /// is known fresh (its recorded stored value equals the table's).
-    /// While true, [`Self::fresh_min`] is a single slice peek with *no*
-    /// table lookups — Branch 2 never touches stored values, so the
+    /// is known fresh (its recorded stored value equals the slot's).
+    /// While true, [`Self::fresh_min`] is a single field read with *no*
+    /// index probes — Branch 2 never touches stored values, so the
     /// validated candidate survives any number of offset bumps; only a
     /// Branch-1 increment of the candidate itself (checked in
-    /// [`Self::note_increment`]) or a Branch-3 eviction can invalidate
-    /// it. `min_fresh` implies the bucket is non-empty.
+    /// [`Self::increment`]) or a Branch-3 eviction can invalidate it.
+    /// `min_fresh` implies the bucket is non-empty.
     min_fresh: bool,
-    /// Table slot index of the validated candidate (valid only while
-    /// [`Self::min_fresh`]; no insert/remove happens while it is set), so
-    /// Branch 3 evicts with [`FlatCounters::remove_at`] instead of a
-    /// second hash-and-probe.
+    /// Slot id of the validated candidate (valid only while
+    /// [`Self::min_fresh`]).
+    min_id: u32,
+    /// Index position of the validated candidate's entry (valid only while
+    /// [`Self::min_fresh`]: only Branch 3 and `clear` mutate the index, and
+    /// both reset the flag), so Branch 3 deletes it without a probe.
     min_at: usize,
 }
 
 impl<K: Item> MisraGries<K> {
+    /// Largest supported `k`: slot ids and dummy indices are `u32`s, and
+    /// the slot-id index reads each entry's home slot from a 32-bit hash
+    /// tag, which addresses 2³² index slots, i.e. `2³¹` ids at ½ load.
+    pub const MAX_K: usize = MAX_IDS;
+
     /// Creates a sketch with `k ≥ 1` counters, initially holding the `k`
     /// dummy keys with counter 0 (line 1 of Algorithm 1).
     ///
     /// # Errors
     ///
-    /// Returns [`SketchError::InvalidK`] when `k = 0`.
+    /// Returns [`SketchError::InvalidK`] when `k = 0` or
+    /// `k >` [`Self::MAX_K`], before allocating anything.
     pub fn new(k: usize) -> Result<Self, SketchError> {
-        if k == 0 {
-            return Err(SketchError::InvalidK(0));
+        Self::check_k(k)?;
+        // Capacity policy: the sketch holds exactly `k` slots for its whole
+        // lifetime, so every array is sized once, for `k` (the index at ≤ ½
+        // load, see `SlotIndex::new`).
+        let mut sketch = Self::with_slots(k, Vec::with_capacity(k), Vec::with_capacity(k), 0, 0);
+        sketch.clear();
+        Ok(sketch)
+    }
+
+    fn check_k(k: usize) -> Result<(), SketchError> {
+        if k == 0 || k > Self::MAX_K {
+            return Err(SketchError::InvalidK(k));
         }
-        // Capacity policy: the sketch holds exactly `k` live slots for its
-        // whole lifetime, so the flat table is sized once for `k` live
-        // entries (≤ ½ load factor, see `FlatCounters::with_live_capacity`)
-        // and the heap for its one-entry-per-slot invariant.
+        Ok(())
+    }
+
+    /// A sketch over the given slot arrays (offset 0), with its index
+    /// built and an empty bucket.
+    fn with_slots(k: usize, keys: Vec<Slot<K>>, stored: Vec<u64>, n: u64, decrements: u64) -> Self {
         let mut sketch = Self {
             k,
             offset: 0,
-            counts: FlatCounters::with_live_capacity(k),
+            keys,
+            stored,
+            index: SlotIndex::new(k),
             bucket_items: Vec::with_capacity(k),
             bucket_dummies: Vec::with_capacity(k),
             bucket_level: 0,
-            n: 0,
-            decrements: 0,
+            n,
+            decrements,
             min_fresh: false,
+            min_id: 0,
             min_at: 0,
         };
-        sketch.clear();
-        Ok(sketch)
+        sketch.reindex();
+        sketch
+    }
+
+    /// Rebuilds the index from [`Self::keys`].
+    fn reindex(&mut self) {
+        self.index.clear();
+        for (id, slot) in self.keys.iter().enumerate() {
+            self.index.insert(fx_hash(slot), id as u32);
+        }
     }
 
     /// Resets the sketch to the state of `MisraGries::new(k)` — `k` dummy
     /// keys with counter 0, empty stream — in place, keeping every
     /// allocation. A shard worker uses this to start the next epoch without
-    /// reallocating its table.
+    /// reallocating its arrays.
     pub fn clear(&mut self) {
-        self.counts.clear();
-        self.bucket_items.clear();
-        self.bucket_dummies.clear();
+        // `k ≤ MAX_K < u32::MAX`, so every dummy index fits.
+        let k = self.k as u32;
+        self.keys.clear();
+        self.keys.extend((0..k).map(Slot::Dummy));
+        self.stored.clear();
+        self.stored.resize(self.k, 0);
+        self.reindex();
         // All k dummies share stored value 0, so they start directly in the
         // level bucket (descending index order: Dummy(k−1) … Dummy(0)).
-        for i in (0..self.k as u32).rev() {
-            self.counts.insert(Slot::Dummy(i), 0);
-            self.bucket_dummies.push(i);
-        }
+        self.bucket_items.clear();
+        self.bucket_dummies.clear();
+        self.bucket_dummies.extend((0..k).rev());
         self.offset = 0;
         self.bucket_level = 0;
         self.n = 0;
         self.decrements = 0;
-        // The candidate's table index is not known yet; the first fresh_min
-        // call validates Dummy(0) with one probe.
+        // The candidate's index position is not known yet; the first
+        // fresh_min call validates Dummy(0) with one probe.
         self.min_fresh = false;
-        self.min_at = 0;
     }
 
     /// Rebuilds a sketch from a full state capture — the `(slot, effective
@@ -255,10 +295,12 @@ impl<K: Item> MisraGries<K> {
     ///
     /// This holds because the update rules (Branches 1–3) depend only on
     /// the effective counters and the slot keys, never on the internal
-    /// `offset`/heap split: the restored sketch stores the effective counts
-    /// directly (offset 0) with a freshly built heap. `n` and `decrements`
-    /// are bookkeeping restored verbatim so `stream_len`, `error_bound`,
-    /// and the Lemma 15 counter-sum identity keep holding.
+    /// `offset`, slot ids or bucket: the restored sketch stores the
+    /// effective counts directly (offset 0), gives the slots ids in slot
+    /// order, and starts with an empty bucket, which the first minimum
+    /// query fills. `n` and `decrements` are bookkeeping
+    /// restored verbatim so `stream_len`, `error_bound`, and the Lemma 15
+    /// counter-sum identity keep holding.
     ///
     /// This is the crash-recovery path of `dpmg-service`'s checkpoints —
     /// unlike [`Self::summary`], which drops dummy slots, `slots` preserves
@@ -266,19 +308,18 @@ impl<K: Item> MisraGries<K> {
     ///
     /// # Errors
     ///
-    /// Returns [`SketchError::Corrupt`] unless the state is one a real
-    /// sketch can occupy: exactly `k ≥ 1` slots in strictly ascending slot
-    /// order, dummy indices `< k` with counter 0, and the counter sum
-    /// matching `n − decrements·(k+1)`.
+    /// Returns [`SketchError::InvalidK`] when `k = 0` or
+    /// `k >` [`Self::MAX_K`], and [`SketchError::Corrupt`] unless the state
+    /// is one a real sketch can occupy: exactly `k` slots in strictly
+    /// ascending slot order, dummy indices `< k` with counter 0, and the
+    /// counter sum matching `n − decrements·(k+1)`.
     pub fn from_state(
         k: usize,
         slots: Vec<(Slot<K>, u64)>,
         n: u64,
         decrements: u64,
     ) -> Result<Self, SketchError> {
-        if k == 0 {
-            return Err(SketchError::InvalidK(0));
-        }
+        Self::check_k(k)?;
         if slots.len() != k {
             return Err(SketchError::Corrupt(
                 "sketch state must hold exactly k slots",
@@ -318,24 +359,13 @@ impl<K: Item> MisraGries<K> {
                 "sketch state violates the counter-sum identity",
             ));
         }
-        let mut counts = FlatCounters::with_live_capacity(k);
+        let mut keys = Vec::with_capacity(k);
+        let mut stored = Vec::with_capacity(k);
         for (slot, count) in slots {
-            counts.insert(slot, count);
+            keys.push(slot);
+            stored.push(count);
         }
-        Ok(Self {
-            k,
-            offset: 0,
-            counts,
-            bucket_items: Vec::with_capacity(k),
-            bucket_dummies: Vec::new(),
-            bucket_level: 0,
-            n,
-            decrements,
-            // Restored counts are arbitrary, so the bucket starts empty and
-            // the first fresh_min scan collects the minimum level.
-            min_fresh: false,
-            min_at: 0,
-        })
+        Ok(Self::with_slots(k, keys, stored, n, decrements))
     }
 
     /// The sketch size `k`.
@@ -363,58 +393,63 @@ impl<K: Item> MisraGries<K> {
         self.n / (self.k as u64 + 1)
     }
 
+    /// Probes the index for `x` (`hash = item_hash(x)`): `Ok((position,
+    /// id))` if stored, else `Err` of the empty index slot where `x` would
+    /// go.
+    #[inline]
+    fn find_item(&self, x: &K, hash: u64) -> Result<(usize, u32), usize> {
+        let keys = &self.keys;
+        self.index.find(
+            hash,
+            |id| matches!(&keys[id as usize], Slot::Item(y) if y == x),
+        )
+    }
+
     /// Processes one stream element.
     pub fn update(&mut self, x: K) {
         self.n += 1;
-        let key = Slot::Item(x);
-        let hash = fx_hash(&key);
-        if let Some(stored) = self.counts.get_mut_hashed(&key, hash) {
-            // Branch 1: increment. The heap entry for `key` goes stale and is
-            // repaired lazily on the next minimum query.
-            *stored += 1;
-            self.note_increment(&key);
-            return;
+        let hash = item_hash(&x);
+        match self.find_item(&x, hash) {
+            Ok((_, id)) => self.increment(id, 1),
+            Err(empty) => self.slow_absent(x, hash, empty, 1),
         }
-        self.slow_absent(key, hash, 1);
     }
 
-    /// Records that `key`'s counter was incremented: if it is the
-    /// validated minimum candidate (the bucket's tail), that candidate is
-    /// no longer fresh. Incrementing any *other* key cannot disturb the
-    /// candidate's minimality — every recorded value (bucket or heap) is a
-    /// lower bound on its true counter, so a fresh candidate (recorded ≤
+    /// Branch 1, `m` times: adds `m` to slot `id`'s counter. If that slot
+    /// is the validated minimum candidate (the bucket's tail), the
+    /// candidate is no longer fresh. Incrementing any *other* key cannot
+    /// disturb the candidate's minimality — every recorded bucket value is
+    /// a lower bound on its true counter, so a fresh candidate (recorded ≤
     /// every other recorded ≤ every other true value) remains the exact
     /// `(counter, key)`-lexicographic minimum.
     #[inline]
-    fn note_increment(&mut self, key: &Slot<K>) {
-        if self.min_fresh {
-            // Only real items are ever incremented, and whenever any item
-            // is bucketed the candidate is the item tail, so a dummy
-            // candidate can never be the incremented key.
-            if let (Slot::Item(x), Some(tail)) = (key, self.bucket_items.last()) {
-                if x == tail {
-                    self.min_fresh = false;
-                }
-            }
+    fn increment(&mut self, id: u32, m: u64) {
+        self.stored[id as usize] += m;
+        // Only real items are ever incremented, and whenever any item is
+        // bucketed the candidate is the item tail, so a dummy candidate can
+        // never be the incremented slot.
+        if self.min_fresh && id == self.min_id {
+            self.min_fresh = false;
         }
     }
 
-    /// Branches 2/3 for `m ≥ 1` consecutive occurrences of an absent key.
+    /// Branches 2/3 for `m ≥ 1` consecutive occurrences of an absent key,
+    /// whose miss probe stopped at the empty index slot `empty`.
     ///
     /// With minimum effective counter `g`, the first `min(m, g)` occurrences
     /// each run Branch 2 — `key` stays absent and the minimum drops by 1 per
-    /// step, and since Branch 2 never touches the heap, the fresh minimum
-    /// found once up front stays the minimum throughout — so the offset
-    /// advances by `min(m, g)` at once. If occurrences remain after the
-    /// minimum hits 0, the next runs Branch 3 — evicting exactly the key
+    /// step, and since Branch 2 never touches stored values, the fresh
+    /// minimum found once up front stays the minimum throughout — so the
+    /// offset advances by `min(m, g)` at once. If occurrences remain after
+    /// the minimum hits 0, the next runs Branch 3 — evicting exactly the key
     /// `fresh_min` identified, now at effective count 0 — and the rest are
     /// Branch-1 increments on the freshly inserted key.
     #[inline]
-    fn slow_absent(&mut self, key: Slot<K>, hash: u64, m: u64) {
+    fn slow_absent(&mut self, key: K, hash: u64, empty: usize, m: u64) {
         let min_stored = self.fresh_min();
         // Branch 2 × min(m, g): every effective counter is ≥ 1; decrement
-        // all of them by bumping the global offset. The heap and the stored
-        // values are untouched, so the validated top stays fresh.
+        // all of them by bumping the global offset. The stored values are
+        // untouched, so the validated candidate stays fresh.
         let decrements = (min_stored - self.offset).min(m);
         self.offset += decrements;
         self.decrements += decrements;
@@ -422,29 +457,32 @@ impl<K: Item> MisraGries<K> {
         if remaining > 0 {
             // Branch 3: evict the smallest zero-count key — the validated
             // bucket tail, whose stored value equals the offset — and take
-            // its slot; then `remaining − 1` Branch-1 increments. The
-            // victim's table index was captured during validation, so the
-            // removal skips its probe; the replacement needs no tracking
-            // entry at all — its counter sits above the minimum level, and
-            // a future scan picks it up if the minimum ever reaches it.
+            // its slot id; then `remaining − 1` Branch-1 increments. Only
+            // fresh_min ran since the miss probe and it reads the index
+            // without mutating it, so `empty` is still empty; inserting
+            // there moves nothing, so `min_at` still addresses the victim
+            // when it is deleted. The index briefly holds k + 1 entries in
+            // ≥ 2k slots. The replacement needs no bucket entry — its
+            // counter sits above the minimum level, and a future scan picks
+            // it up if the minimum ever reaches it.
             debug_assert!(self.min_fresh, "fresh_min ran just above");
-            let stored = self.offset + remaining;
-            let (removed_key, removed) = self.counts.remove_at(self.min_at);
-            debug_assert_eq!(removed, self.offset);
-            // Retire the candidate that remove_at just evicted from
-            // whichever bucket half held it.
-            match &removed_key {
+            let id = self.min_id as usize;
+            debug_assert_eq!(self.stored[id], self.offset);
+            self.index.insert_at(empty, hash, self.min_id);
+            self.index.remove_at(self.min_at);
+            self.stored[id] = self.offset + remaining;
+            // Retire the candidate from whichever bucket half held it.
+            match std::mem::replace(&mut self.keys[id], Slot::Item(key)) {
                 Slot::Item(x) => {
                     let popped = self.bucket_items.pop();
-                    debug_assert_eq!(popped.as_ref(), Some(x));
+                    debug_assert_eq!(popped, Some(x));
                 }
                 Slot::Dummy(i) => {
                     debug_assert!(self.bucket_items.is_empty());
                     let popped = self.bucket_dummies.pop();
-                    debug_assert_eq!(popped, Some(*i));
+                    debug_assert_eq!(popped, Some(i));
                 }
             }
-            self.counts.insert_hashed(key, hash, stored);
             self.min_fresh = false;
         }
     }
@@ -467,41 +505,19 @@ impl<K: Item> MisraGries<K> {
     /// pipeline (`dpmg-pipeline`), where key-routed substreams of skewed
     /// workloads have much higher run density than the global stream.
     ///
-    /// The loop is software-pipelined: run `N+1` is carved out and its
-    /// head key hashed ([`item_hash`], no `Slot` construction) — issuing a
-    /// [`FlatCounters::prefetch`] of its home cache line — *before* run
-    /// `N`'s probe executes, so each probe's line is already in flight
-    /// while the previous run is applied. A deeper hash-ahead window
-    /// (W = 8 runs staged through stack arrays) measured strictly slower
-    /// here: counter tables at practical `k` are L1/L2-resident, so extra
-    /// prefetch distance hides nothing while the staging traffic costs
-    /// real instructions. Hashes depend only on the keys — never on table
-    /// state — so precomputing one across a run boundary cannot change
-    /// any probe's outcome, and runs are still applied strictly in stream
-    /// order: the result is bit-identical to the per-element loop.
+    /// Runs are applied one after another, with no software pipelining: at
+    /// practical `k` the whole store (8-byte index entries plus the dense
+    /// key and counter arrays, 40 KB at k = 1024) is L1/L2-resident, so
+    /// hashing or prefetching the next run ahead of the current probe
+    /// measured neutral. (An 8-wide hash-ahead window measured strictly
+    /// slower.)
     pub fn extend_batch(&mut self, batch: &[K]) {
-        if batch.is_empty() {
-            return;
-        }
-        // Prime the pipeline: carve run 0 and start its line fetch.
         let mut start = 0;
-        let mut end = Self::run_end(batch, 0);
-        let mut hash = item_hash(&batch[0]);
-        self.counts.prefetch(hash);
-        while end < batch.len() {
-            // Carve + hash run N+1 (issuing its prefetch) before probing
-            // run N, so the next probe's cache line is already in flight
-            // while this probe executes.
-            let next_start = end;
-            let next_end = Self::run_end(batch, next_start);
-            let next_hash = item_hash(&batch[next_start]);
-            self.counts.prefetch(next_hash);
-            self.update_run_hashed(&batch[start], (end - start) as u64, hash);
-            start = next_start;
-            end = next_end;
-            hash = next_hash;
+        while start < batch.len() {
+            let end = Self::run_end(batch, start);
+            self.update_run(&batch[start], (end - start) as u64);
+            start = end;
         }
-        self.update_run_hashed(&batch[start], (end - start) as u64, hash);
     }
 
     /// Returns the exclusive end of the run of equal elements starting at
@@ -516,47 +532,46 @@ impl<K: Item> MisraGries<K> {
         j
     }
 
-    /// Processes `m ≥ 1` consecutive occurrences of `x` in one step, with
-    /// `hash = `[`item_hash`]`(x)` supplied by the caller: `m` Branch-1
-    /// increments collapse to one `+= m` when `x` is stored, and
+    /// Processes `m ≥ 1` consecutive occurrences of `x` in one step: `m`
+    /// Branch-1 increments collapse to one `+= m` when `x` is stored, and
     /// [`Self::slow_absent`] collapses the decrement bookkeeping when it
-    /// is not. Equivalent to `m` sequential [`Self::update`] calls.
+    /// is not. Equivalent to `m` sequential [`Self::update`] calls; `x` is
+    /// cloned only when Branch 3 stores it.
     #[inline]
-    fn update_run_hashed(&mut self, x: &K, m: u64, hash: u64) {
+    fn update_run(&mut self, x: &K, m: u64) {
         debug_assert!(m >= 1);
-        debug_assert_eq!(hash, item_hash(x));
         self.n += m;
-        let key = Slot::Item(x.clone());
-        if let Some(stored) = self.counts.get_mut_hashed(&key, hash) {
-            *stored += m;
-            self.note_increment(&key);
-            return;
+        let hash = item_hash(x);
+        match self.find_item(x, hash) {
+            Ok((_, id)) => self.increment(id, m),
+            Err(empty) => self.slow_absent(x.clone(), hash, empty, m),
         }
-        self.slow_absent(key, hash, m);
     }
 
     /// Returns the minimum stored value, discarding stale candidates until
     /// the bucket's tail is fresh. When the candidate is already validated
     /// (`min_fresh`, the common case on miss-heavy streams) this is a
-    /// single field read with no table lookups. Stale candidates — their
+    /// single field read with no index probes. Stale candidates — their
     /// counter was incremented past the bucket level — are simply dropped
     /// (a later scan rediscovers them at their new level), and once the
-    /// bucket runs dry [`Self::refill_bucket`] rebuilds it from the table;
-    /// either way the loop leaves the bucket tail as the exact `(counter,
-    /// key)`-lexicographic minimum, which Branch 3 pops as its eviction
-    /// victim.
+    /// bucket runs dry [`Self::refill_bucket`] rebuilds it from the
+    /// counters; either way the loop leaves the bucket tail as the exact
+    /// `(counter, key)`-lexicographic minimum, which Branch 3 pops as its
+    /// eviction victim. Validation records the candidate's slot id and
+    /// index position for Branch 3.
     fn fresh_min(&mut self) -> u64 {
         if self.min_fresh {
             return self.bucket_level;
         }
         loop {
             if let Some(x) = self.bucket_items.last() {
-                let (at, current) = self
-                    .counts
-                    .get_indexed_by(item_hash(x), |slot| matches!(slot, Slot::Item(y) if y == x))
-                    .expect("bucket keys always live in the table");
+                let (at, id) = self
+                    .find_item(x, item_hash(x))
+                    .expect("bucket keys always live in the sketch");
+                let current = self.stored[id as usize];
                 if current == self.bucket_level {
                     self.min_fresh = true;
+                    self.min_id = id;
                     self.min_at = at;
                     return current;
                 }
@@ -566,46 +581,52 @@ impl<K: Item> MisraGries<K> {
                 continue;
             }
             if let Some(&i) = self.bucket_dummies.last() {
-                // Dummies are never incremented, so this candidate is
-                // fresh by construction; the probe only fetches its index.
-                let (at, current) = self
-                    .counts
-                    .get_indexed(&Slot::Dummy(i))
-                    .expect("bucket keys always live in the table");
-                debug_assert_eq!(current, self.bucket_level);
+                // Dummies are never incremented, so this candidate is fresh
+                // by construction; the probe only fetches its id and index
+                // position.
+                let keys = &self.keys;
+                let (at, id) = self
+                    .index
+                    .find(
+                        fx_hash(&Slot::<K>::Dummy(i)),
+                        |id| matches!(keys[id as usize], Slot::Dummy(j) if j == i),
+                    )
+                    .expect("bucket keys always live in the sketch");
+                debug_assert_eq!(self.stored[id as usize], self.bucket_level);
                 self.min_fresh = true;
+                self.min_id = id;
                 self.min_at = at;
-                return current;
+                return self.bucket_level;
             }
             self.refill_bucket();
         }
     }
 
-    /// Rebuilds the bucket with one linear pass over the flat table:
-    /// finds the minimum stored value and collects every key holding it —
-    /// all fresh at scan time, so the validation the caller's loop
-    /// performs next succeeds immediately. Scan levels strictly increase,
-    /// and each level the minimum visits is paid for by Branch-2 offset
-    /// steps (bounded by `α ≤ n/(k+1)`), so the `O(k)` pass amortizes to
-    /// `O(1)` per stream element.
+    /// Rebuilds the bucket with two linear passes over the contiguous
+    /// counters: one finds the minimum stored value, the other collects
+    /// every key holding it — all fresh at scan time, so the validation the
+    /// caller's loop performs next succeeds immediately. Scan levels
+    /// strictly increase, and each level the minimum visits is paid for by
+    /// Branch-2 offset steps (bounded by `α ≤ n/(k+1)`), so the `O(k)`
+    /// passes amortize to `O(1)` per stream element.
     fn refill_bucket(&mut self) {
         debug_assert!(self.bucket_items.is_empty() && self.bucket_dummies.is_empty());
-        let mut min = u64::MAX;
-        for (key, stored) in self.counts.iter() {
-            if stored > min {
-                continue;
-            }
-            if stored < min {
-                min = stored;
-                self.bucket_items.clear();
-                self.bucket_dummies.clear();
-            }
+        let min = *self
+            .stored
+            .iter()
+            .min()
+            .expect("the sketch holds k ≥ 1 slots");
+        for (key, _) in self
+            .keys
+            .iter()
+            .zip(&self.stored)
+            .filter(|&(_, &s)| s == min)
+        {
             match key {
                 Slot::Item(x) => self.bucket_items.push(x.clone()),
                 Slot::Dummy(i) => self.bucket_dummies.push(*i),
             }
         }
-        debug_assert!(min < u64::MAX, "the table always holds k live keys");
         self.bucket_level = min;
         // Descending, so the tails pop in ascending key order.
         self.bucket_items.sort_unstable_by(|a, b| b.cmp(a));
@@ -614,27 +635,31 @@ impl<K: Item> MisraGries<K> {
 
     /// Effective counter for `x` (0 if not stored).
     pub fn count(&self, x: &K) -> u64 {
-        self.counts
-            .get(&Slot::Item(x.clone()))
-            .map(|s| s - self.offset)
+        self.find_item(x, item_hash(x))
+            .map(|(_, id)| self.stored[id as usize] - self.offset)
             .unwrap_or(0)
     }
 
     /// Whether `x` currently occupies a slot (its counter may be 0 — the
     /// paper's variant keeps zero-count keys).
     pub fn contains(&self, x: &K) -> bool {
-        self.counts.contains(&Slot::Item(x.clone()))
+        self.find_item(x, item_hash(x)).is_ok()
+    }
+
+    /// `(key, effective counter)` of every slot, in slot-id order.
+    fn entries(&self) -> impl Iterator<Item = (&Slot<K>, u64)> + '_ {
+        self.keys
+            .iter()
+            .zip(&self.stored)
+            .map(|(slot, &s)| (slot, s - self.offset))
     }
 
     /// All `k` slots with their effective counters, sorted by slot order
     /// (real items ascending, then dummies). This is the `T, c` pair that
     /// Algorithm 2 consumes — the private release needs dummy slots too.
     pub fn slots(&self) -> Vec<(Slot<K>, u64)> {
-        let mut out: Vec<(Slot<K>, u64)> = self
-            .counts
-            .iter()
-            .map(|(slot, s)| (slot.clone(), s - self.offset))
-            .collect();
+        let mut out: Vec<(Slot<K>, u64)> =
+            self.entries().map(|(slot, c)| (slot.clone(), c)).collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
@@ -644,9 +669,8 @@ impl<K: Item> MisraGries<K> {
     pub fn summary(&self) -> Summary<K> {
         Summary::from_entries(
             self.k,
-            self.counts
-                .iter()
-                .filter_map(|(slot, s)| slot.item().map(|k| (k.clone(), s - self.offset))),
+            self.entries()
+                .filter_map(|(slot, c)| slot.item().map(|k| (k.clone(), c))),
         )
     }
 
@@ -656,13 +680,15 @@ impl<K: Item> MisraGries<K> {
         2 * self.k
     }
 
-    /// Real heap footprint of the sketch in bytes: the flat counter table
-    /// (capacity × slot size under the ½-load policy) plus the level
-    /// bucket's backing buffer. This is the concrete-machine counterpart
-    /// of the paper's `2k`-word accounting ([`Self::space_words`]), used
-    /// by the E13 space experiment.
+    /// Real heap footprint of the sketch in bytes: the slot-id index
+    /// (8-byte entries under the ½-load policy), the dense key and counter
+    /// arrays, and the level bucket's backing buffers. This is the
+    /// concrete-machine counterpart of the paper's `2k`-word accounting
+    /// ([`Self::space_words`]), used by the E13 space experiment.
     pub fn space_bytes(&self) -> usize {
-        self.counts.space_bytes()
+        self.index.space_bytes()
+            + self.keys.capacity() * std::mem::size_of::<Slot<K>>()
+            + self.stored.capacity() * std::mem::size_of::<u64>()
             + self.bucket_items.capacity() * std::mem::size_of::<K>()
             + self.bucket_dummies.capacity() * std::mem::size_of::<u32>()
     }
@@ -677,9 +703,9 @@ impl<K: Item> FrequencyOracle<K> for MisraGries<K> {
 impl<K: Item> TopKSketch<K> for MisraGries<K> {
     fn stored_keys(&self) -> Vec<K> {
         let mut keys: Vec<K> = self
-            .counts
+            .keys
             .iter()
-            .filter_map(|(slot, _)| slot.item().cloned())
+            .filter_map(|slot| slot.item().cloned())
             .collect();
         keys.sort();
         keys
@@ -716,6 +742,14 @@ pub mod naive {
                 slots: (0..k).map(|i| (Slot::Dummy(i as u32), 0)).collect(),
                 n: 0,
             })
+        }
+
+        /// Starts the reference from an arbitrary `k`-slot state after `n`
+        /// elements, so a restored sketch can be checked against it.
+        #[cfg(test)]
+        pub(super) fn from_slots(k: usize, slots: Vec<(Slot<K>, u64)>, n: u64) -> Self {
+            assert_eq!(slots.len(), k);
+            Self { k, slots, n }
         }
 
         /// Processes one element by running Algorithm 1's three branches
@@ -795,6 +829,147 @@ mod tests {
             SketchError::InvalidK(0)
         );
         assert!(NaiveMisraGries::<u64>::new(0).is_err());
+    }
+
+    #[test]
+    fn rejects_k_above_the_slot_layout_limit() {
+        let k = MisraGries::<u64>::MAX_K + 1;
+        assert_eq!(
+            MisraGries::<u64>::new(k).unwrap_err(),
+            SketchError::InvalidK(k)
+        );
+        assert_eq!(
+            MisraGries::<u64>::from_state(k, vec![], 0, 0).unwrap_err(),
+            SketchError::InvalidK(k)
+        );
+    }
+
+    #[test]
+    fn space_bytes_follows_the_dense_layout() {
+        // Index: max(8, 2k) rounded up to a power of two 8-byte entries.
+        // Per slot: a 16-byte `Slot<u64>` key and an 8-byte counter, plus
+        // the level bucket's 8-byte item and 4-byte dummy capacity.
+        for (k, index_slots) in [
+            (1, 8),
+            (4, 8),
+            (5, 16),
+            (8, 16),
+            (9, 32),
+            (64, 128),
+            (1024, 2048),
+        ] {
+            let want = index_slots * 8 + k * (16 + 8 + 8 + 4);
+            let mut mg = MisraGries::<u64>::new(k).unwrap();
+            assert_eq!(mg.space_bytes(), want, "new, k = {k}");
+            let stream: Vec<u64> = (0..5000u64).map(|i| i * i % 97).collect();
+            mg.extend_batch(&stream);
+            assert_eq!(mg.space_bytes(), want, "after a stream, k = {k}");
+            let restored =
+                MisraGries::from_state(k, mg.slots(), mg.stream_len(), mg.decrement_count())
+                    .unwrap();
+            assert_eq!(restored.space_bytes(), want, "from_state, k = {k}");
+            mg.clear();
+            assert_eq!(mg.space_bytes(), want, "clear, k = {k}");
+        }
+    }
+
+    /// A deterministic skewed stream over `universe`.
+    fn churn_stream(universe: &[u64], len: usize) -> Vec<u64> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                // Squaring a uniform draw skews toward the universe's head.
+                let u = (state >> 40) as usize % universe.len();
+                universe[u * u / universe.len()]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn churn_with_wrapping_probe_chains_matches_naive() {
+        // At k ≤ 4 the index has 8 slots and a key's home slot is the top 3
+        // bits of its hash. Keys homed at the last slot make every insert
+        // after the first wrap around the index end, and every
+        // backward-shift deletion among them shift across it.
+        let mut universe: Vec<u64> = (0u64..)
+            .filter(|x| item_hash(x) >> 61 == 7)
+            .take(5)
+            .collect();
+        universe.extend(0..7);
+        let stream = churn_stream(&universe, 3000);
+        for k in 1..=4 {
+            let mut fast = MisraGries::new(k).unwrap();
+            let mut slow = NaiveMisraGries::new(k).unwrap();
+            for (i, &x) in stream.iter().enumerate() {
+                fast.update(x);
+                slow.update(x);
+                assert_eq!(fast.slots(), slow.slots(), "k = {k}, item {i}");
+                // slots() reads the dense arrays; count() and contains()
+                // probe the index.
+                for y in &universe {
+                    assert_eq!(fast.count(y), slow.count(y), "k = {k}, item {i}, key {y}");
+                    assert_eq!(
+                        fast.contains(y),
+                        slow.slots().contains(&(Slot::Item(*y), slow.count(y))),
+                        "k = {k}, item {i}, key {y}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn from_state_with_interleaved_dummies_continues_like_the_reference() {
+        // No stream reaches this state from `new`: Branch 3 evicts dummies
+        // in ascending order, so the live ones are always a suffix, while
+        // here dummies 0, 2 and 5 are gone and 1, 3, 4 and 6 remain.
+        // Σc = 3 and α = 1, so n = 3 + 1·(k+1).
+        let k = 7;
+        let state = vec![
+            (Slot::Item(3u64), 2),
+            (Slot::Item(8), 0),
+            (Slot::Item(11), 1),
+            (Slot::Dummy(1), 0),
+            (Slot::Dummy(3), 0),
+            (Slot::Dummy(4), 0),
+            (Slot::Dummy(6), 0),
+        ];
+        let n = 3 + (k as u64 + 1);
+        let mut restored = MisraGries::from_state(k, state.clone(), n, 1).unwrap();
+        let mut naive = NaiveMisraGries::from_slots(k, state, n);
+        let universe: Vec<u64> = (0..16).collect();
+        let a = churn_stream(&universe, 600);
+        for chunk in a.chunks(37) {
+            restored.extend_batch(chunk);
+            naive.extend(chunk.iter().copied());
+            assert_eq!(restored.slots(), naive.slots());
+        }
+        for x in &universe {
+            assert_eq!(restored.count(x), naive.count(x), "key {x}");
+        }
+        assert_eq!(restored.stream_len(), naive.stream_len());
+        let total: u64 = restored.slots().iter().map(|&(_, c)| c).sum();
+        assert_eq!(
+            total,
+            restored.stream_len() - restored.decrement_count() * (k as u64 + 1)
+        );
+
+        // Cleared, the restored sketch is a fresh one.
+        let b: Vec<u64> = a.iter().rev().map(|x| x + 5).collect();
+        restored.clear();
+        restored.extend_batch(&b);
+        let mut fresh = MisraGries::new(k).unwrap();
+        fresh.extend_batch(&b);
+        assert_eq!(restored.slots(), fresh.slots());
+        assert_eq!(restored.summary(), fresh.summary());
+        assert_eq!(restored.stream_len(), fresh.stream_len());
+        assert_eq!(restored.decrement_count(), fresh.decrement_count());
+        for x in 0..32u64 {
+            assert_eq!(restored.count(&x), fresh.count(&x), "key {x}");
+        }
     }
 
     #[test]
@@ -1034,6 +1209,23 @@ mod tests {
         ));
     }
 
+    /// Variable-length `String` keys: both full 8-byte hash chunks and the
+    /// tagged sub-word remainder, plus key comparisons on tag collisions.
+    const PALETTE: [&str; 12] = [
+        "",
+        "a",
+        "b",
+        "c",
+        "ab",
+        "bc",
+        "ca",
+        "abc",
+        "abcdefgh",
+        "abcdefghi",
+        "quite-a-long-key",
+        "quite-a-long-key2",
+    ];
+
     proptest! {
         /// Checkpoint/restore fidelity: capturing a sketch mid-stream with
         /// `slots()` and rebuilding via `from_state` yields a sketch whose
@@ -1131,19 +1323,14 @@ mod tests {
         }
 
         /// Differential test with variable-length `String` keys: exercises
-        /// the flat table's byte-stream hashing path (`Hasher::write` — both
-        /// full 8-byte chunks and the tagged sub-word remainder) and key
-        /// comparisons on probe collisions, which the `u64` streams above
+        /// the byte-stream hashing path (`Hasher::write`) and key
+        /// comparisons on tag collisions, which the `u64` streams above
         /// never touch.
         #[test]
         fn prop_fast_matches_naive_string_keys(
             raw in proptest::collection::vec(0usize..12, 0..200),
             k in 1usize..6,
         ) {
-            const PALETTE: [&str; 12] = [
-                "", "a", "b", "c", "ab", "bc", "ca", "abc",
-                "abcdefgh", "abcdefghi", "quite-a-long-key", "quite-a-long-key2",
-            ];
             let stream: Vec<String> = raw.iter().map(|&i| PALETTE[i].to_string()).collect();
             let mut fast = MisraGries::new(k).unwrap();
             let mut slow = NaiveMisraGries::new(k).unwrap();
@@ -1158,6 +1345,27 @@ mod tests {
                     .into_iter()
                     .filter_map(|(s, c)| s.item().cloned().map(|key| (key, c))),
             ));
+        }
+
+        /// The `String` palette above through `extend_batch` at arbitrary
+        /// batch boundaries, against the literal Algorithm 1 transcription.
+        #[test]
+        fn prop_extend_batch_matches_naive_string_keys(
+            raw in proptest::collection::vec(0usize..12, 0..300),
+            k in 1usize..6,
+            batch_size in 1usize..50,
+        ) {
+            let stream: Vec<String> = raw.iter().map(|&i| PALETTE[i].to_string()).collect();
+            let mut batched = MisraGries::new(k).unwrap();
+            for chunk in stream.chunks(batch_size) {
+                batched.extend_batch(chunk);
+            }
+            let mut naive = NaiveMisraGries::new(k).unwrap();
+            naive.extend(stream.iter().cloned());
+            prop_assert_eq!(batched.slots(), naive.slots());
+            for key in PALETTE {
+                prop_assert_eq!(batched.count(&key.to_string()), naive.count(&key.to_string()));
+            }
         }
 
         /// Fact 7: estimates live in [f(x) − n/(k+1), f(x)] for every key.

@@ -16,7 +16,8 @@ impl<T: Clone + Ord + Eq + std::hash::Hash + std::fmt::Debug> Item for T {}
 /// Errors produced when constructing sketches with invalid parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SketchError {
-    /// The number of counters `k` must be at least 1.
+    /// The number of counters `k` must be at least 1 (and, for
+    /// [`crate::MisraGries`], at most [`crate::MisraGries::MAX_K`]).
     InvalidK(usize),
     /// A width/depth parameter of a hashed sketch was zero.
     InvalidDimension {
@@ -30,7 +31,12 @@ pub enum SketchError {
 impl std::fmt::Display for SketchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SketchError::InvalidK(k) => write!(f, "sketch size k must be ≥ 1, got {k}"),
+            SketchError::InvalidK(k) => {
+                write!(
+                    f,
+                    "sketch size k must be ≥ 1 (≤ 2^31 for Misra-Gries), got {k}"
+                )
+            }
             SketchError::InvalidDimension { name } => {
                 write!(f, "sketch dimension `{name}` must be ≥ 1")
             }

@@ -101,7 +101,6 @@ pub mod prelude {
         RecoveryReport, ReleasedSnapshot, SequentialServiceReference, ServiceConfig, ServiceError,
         ServiceMode,
     };
-    pub use dpmg_sketch::flat_counters::FlatCounters;
     pub use dpmg_sketch::misra_gries::MisraGries;
     pub use dpmg_sketch::pamg::PrivacyAwareMisraGries;
     pub use dpmg_sketch::traits::{FrequencyOracle, TopKSketch};
