@@ -26,8 +26,8 @@
 use dpmg_bench::{banner, f2, out_dir, quick, quick_mode, verdict};
 use dpmg_eval::experiment::Table;
 use dpmg_fleet::{
-    run_process_fleet, run_worker_from_env, CrashPoint, FleetConfig, IngestMode, WorkerOutcome,
-    WorkerSpec, WORKER_ENV,
+    run_process_fleet, run_worker_from_env, CrashPoint, FleetConfig, WorkerOutcome, WorkerSpec,
+    WORKER_ENV,
 };
 use dpmg_pipeline::{sequential_sharded_reference, PipelineConfig, ShardedPipeline};
 use dpmg_sketch::merge::merge_tree;
@@ -180,7 +180,6 @@ fn main() {
             workers: case.workers,
             shards_per_worker: case.shards_per_worker,
             k: 16,
-            mode: IngestMode::Direct,
             crash: None,
             stream_n: n_conf,
             universe: 1 << 12,
@@ -289,7 +288,6 @@ fn main() {
             workers,
             shards_per_worker,
             k: SHARDED_K,
-            mode: IngestMode::Direct,
             crash: None,
             stream_n: n,
             universe: THROUGHPUT_UNIVERSE,
@@ -300,8 +298,9 @@ fn main() {
         assert_eq!(report.coverage(), 1.0, "throughput run lost a worker");
         assert_eq!(report.items as usize, n, "fleet lost items");
         // The wall clock runs GO broadcast → last report resolved: spawn,
-        // stream generation, and slice filtering all happen before the GO
-        // barrier, so this is steady-state sketching + report transfer.
+        // stream generation, and the per-shard partition all happen before
+        // the GO barrier, so this is steady-state sketching + report
+        // transfer.
         let tput = n as f64 / report.wall.as_secs_f64();
         t2.row(&[
             workers.to_string(),

@@ -371,10 +371,11 @@ fn reap(attempt: &mut Attempt) {
 ///
 /// # Errors
 ///
-/// [`FleetError::Spec`] on invalid config or a spec/config geometry
-/// mismatch; spawn failures surface as [`FleetError::Io`]. Individual
-/// worker failures do **not** fail the run — they surface as
-/// [`WorkerOutcome::Failed`] and missing coverage.
+/// [`FleetError::Spec`] on invalid config, an invalid first-attempt spec
+/// ([`WorkerSpec::validate`]) or a spec/config geometry mismatch, all
+/// before any process is spawned; spawn failures surface as
+/// [`FleetError::Io`]. Individual worker failures do **not** fail the run —
+/// they surface as [`WorkerOutcome::Failed`] and missing coverage.
 pub fn run_process_fleet(
     config: &FleetConfig,
     spec_for: &dyn Fn(usize, usize) -> WorkerSpec,
@@ -384,6 +385,7 @@ pub fn run_process_fleet(
     let w = config.workers;
     for worker in 0..w {
         let spec = spec_for(worker, 1);
+        spec.validate()?;
         if spec.hello() != config.expected_hello(worker) {
             return Err(FleetError::Spec(format!(
                 "spec_for({worker}) geometry disagrees with the fleet config"
@@ -593,7 +595,7 @@ pub fn run_process_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::{run_worker, CrashPoint, IngestMode};
+    use crate::worker::{run_worker, CrashPoint};
     use dpmg_core::mechanism::{registry, MechanismSpec};
     use dpmg_noise::PrivacyParams;
     use dpmg_pipeline::sequential_sharded_reference;
@@ -617,7 +619,6 @@ mod tests {
             workers: config.workers,
             shards_per_worker: config.shards_per_worker,
             k: config.k,
-            mode: IngestMode::Direct,
             crash,
             stream_n: 4_000,
             universe: 1 << 12,

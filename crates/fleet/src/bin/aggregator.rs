@@ -1,7 +1,8 @@
 //! The fleet entry point: one binary, two roles.
 //!
 //! * **Worker mode** — when [`WORKER_ENV`] is set the process parses its
-//!   [`WorkerSpec`], regenerates its slice of the stream, and speaks the
+//!   [`WorkerSpec`], regenerates the stream, partitions it into its owned
+//!   shards in one pass, sketches each with Algorithm 1, and speaks the
 //!   framed report protocol over stdin/stdout. Spawned by the aggregator;
 //!   not meant to be invoked by hand.
 //! * **Aggregator mode** (default) — spawns `workers` copies of itself as
@@ -13,14 +14,18 @@
 //!     workers=4 shards_per_worker=2 k=256 stream_n=1000000 epsilon=0.9
 //! ```
 //!
-//! All settings are `key=value` arguments with sensible defaults; pass
-//! `crash=<worker>:<point>` (e.g. `crash=1:mid-frame`) to watch straggler
-//! handling and coverage accounting absorb an injected failure.
+//! All settings are `key=value` arguments with sensible defaults: `workers`,
+//! `shards_per_worker`, `k`, `stream_n`, `universe`, `skew`, `seed`,
+//! `deadline_secs`, `retries`, `coverage_floor`, `epsilon`, `delta`,
+//! `mechanism` and `crash`. Pass `crash=<worker>:<point>` (e.g.
+//! `crash=1:mid-frame`; points `before-hello`, `mid-frame`,
+//! `after-summaries:N`) to watch straggler handling and coverage accounting
+//! absorb an injected failure; `<worker>` must be below `workers`.
 
 use dpmg_core::mechanism::{by_name, MechanismSpec};
 use dpmg_fleet::{
     release_fleet, run_process_fleet, run_worker_from_env, CrashPoint, FleetConfig, FleetError,
-    IngestMode, WorkerOutcome, WorkerSpec, WORKER_ENV,
+    WorkerOutcome, WorkerSpec, WORKER_ENV,
 };
 use dpmg_noise::accounting::{Accountant, PrivacyParams};
 use rand::rngs::StdRng;
@@ -60,7 +65,6 @@ struct Args {
     epsilon: f64,
     delta: f64,
     mechanism: String,
-    mode: IngestMode,
     crash: Option<(usize, CrashPoint)>,
 }
 
@@ -79,7 +83,6 @@ fn parse_args() -> Result<Args, FleetError> {
         epsilon: 0.9,
         delta: 1e-8,
         mechanism: "gshm".to_string(),
-        mode: IngestMode::Direct,
         crash: None,
     };
     fn parse<T: std::str::FromStr>(value: &str, key: &str) -> Result<T, FleetError> {
@@ -105,29 +108,21 @@ fn parse_args() -> Result<Args, FleetError> {
             "epsilon" => args.epsilon = parse(value, key)?,
             "delta" => args.delta = parse(value, key)?,
             "mechanism" => args.mechanism = value.to_string(),
-            "mode" => {
-                args.mode = match value {
-                    "direct" => IngestMode::Direct,
-                    "pipeline" => IngestMode::Pipeline,
-                    other => return Err(FleetError::Spec(format!("bad mode: {other}"))),
-                }
-            }
             "crash" => {
                 let (worker, point) = value.split_once(':').ok_or_else(|| {
                     FleetError::Spec(format!("crash wants worker:point, got {value}"))
                 })?;
-                let worker: usize = parse(worker, "crash worker")?;
-                let point = match point {
-                    "before-hello" => CrashPoint::BeforeHello,
-                    "mid-frame" => CrashPoint::MidFrame,
-                    other => match other.strip_prefix("after-summaries:") {
-                        Some(n) => CrashPoint::AfterSummaries(parse(n, "crash count")?),
-                        None => return Err(FleetError::Spec(format!("bad crash point: {other}"))),
-                    },
-                };
-                args.crash = Some((worker, point));
+                args.crash = Some((parse(worker, "crash worker")?, point.parse::<CrashPoint>()?));
             }
             other => return Err(FleetError::Spec(format!("unknown argument: {other}"))),
+        }
+    }
+    if let Some((worker, _)) = args.crash {
+        if worker >= args.workers {
+            return Err(FleetError::Spec(format!(
+                "crash worker {worker} out of range for {} workers",
+                args.workers
+            )));
         }
     }
     Ok(args)
@@ -152,7 +147,6 @@ fn run_aggregator() -> Result<(), FleetError> {
         workers: args.workers,
         shards_per_worker: args.shards_per_worker,
         k: args.k,
-        mode: args.mode,
         crash: args
             .crash
             .and_then(|(w, p)| (w == worker_id && attempt == 1).then_some(p)),

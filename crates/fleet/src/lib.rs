@@ -22,7 +22,11 @@
 //! Each worker runs the same deterministic partitioning the single-process
 //! [`ShardedPipeline`](dpmg_pipeline::ShardedPipeline) uses: item `x` belongs
 //! to global shard [`shard_of_key`](dpmg_pipeline::shard_of_key)`(x, S)`, and
-//! worker `w` owns the contiguous block `[w·s, (w+1)·s)`. Because the shard
+//! worker `w` owns the contiguous block `[w·s, (w+1)·s)`. One untimed pass
+//! hashes each item once and sorts the worker's items into one vector per
+//! owned shard; after GO the worker runs
+//! [`MisraGries::extend_batch`](dpmg_sketch::MisraGries::extend_batch) over
+//! each of them, with no thread or router inside the worker. Because the shard
 //! function is content-based and pinned, each per-shard substream — and hence
 //! each per-shard Misra–Gries summary — is **bit-identical** to what the
 //! single-process `S`-shard pipeline would have produced. Merging the `S`
@@ -63,11 +67,10 @@ pub use protocol::{
     KIND_BYE, KIND_DONE, KIND_HELLO, KIND_SUMMARY,
 };
 pub use worker::{
-    run_worker, run_worker_from_env, CrashPoint, IngestMode, WorkerRunStats, WorkerSpec, WORKER_ENV,
+    run_worker, run_worker_from_env, CrashPoint, WorkerRunStats, WorkerSpec, WORKER_ENV,
 };
 
 use dpmg_core::mechanism::ReleaseError;
-use dpmg_pipeline::PipelineError;
 use dpmg_sketch::serialize::FrameError;
 use dpmg_sketch::SketchError;
 
@@ -84,8 +87,6 @@ pub enum FleetError {
     Protocol(&'static str),
     /// A summary payload failed structural validation on decode.
     Sketch(SketchError),
-    /// Worker-side pipeline failure (foreign key, invalid shard block, …).
-    Pipeline(PipelineError),
     /// The trusted release itself failed (wrong sensitivity model, noise
     /// calibration, …). Refusals here never charge the accountant.
     Release(ReleaseError),
@@ -111,7 +112,6 @@ impl std::fmt::Display for FleetError {
             FleetError::Frame(e) => write!(f, "fleet framing error: {e}"),
             FleetError::Protocol(msg) => write!(f, "fleet protocol violation: {msg}"),
             FleetError::Sketch(e) => write!(f, "fleet summary decode error: {e}"),
-            FleetError::Pipeline(e) => write!(f, "fleet worker pipeline error: {e}"),
             FleetError::Release(e) => write!(f, "fleet release error: {e}"),
             FleetError::CoverageBelowFloor {
                 covered,
@@ -135,7 +135,6 @@ impl std::error::Error for FleetError {
             FleetError::Io(e) => Some(e),
             FleetError::Frame(e) => Some(e),
             FleetError::Sketch(e) => Some(e),
-            FleetError::Pipeline(e) => Some(e),
             FleetError::Release(e) => Some(e),
             _ => None,
         }
@@ -157,12 +156,6 @@ impl From<FrameError> for FleetError {
 impl From<SketchError> for FleetError {
     fn from(e: SketchError) -> Self {
         FleetError::Sketch(e)
-    }
-}
-
-impl From<PipelineError> for FleetError {
-    fn from(e: PipelineError) -> Self {
-        FleetError::Pipeline(e)
     }
 }
 

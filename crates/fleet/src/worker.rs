@@ -1,6 +1,14 @@
 //! The worker side of the fleet: deterministic stream partitioning, local
 //! sketching, and the framed report back to the aggregator.
 //!
+//! A worker makes one untimed partition pass over the stream: it hashes
+//! each item once with [`shard_of_key`] over the global shard space and
+//! pushes the items of its own block into one vector per owned shard, in
+//! arrival order. After GO it runs Algorithm 1
+//! ([`MisraGries::extend_batch`]) over each owned shard's vector — the same
+//! per-shard substreams, in the same order, that a single-process pipeline
+//! of the global width would sketch.
+//!
 //! A worker is a pure function of its [`WorkerSpec`]: the spec pins the
 //! partition geometry, the sketch size, the workload (every worker
 //! regenerates the *same* seeded stream and keeps only its own slice), and —
@@ -17,7 +25,7 @@ use crate::protocol::{
     encode_done, encode_summary, read_go, Hello, KIND_BYE, KIND_DONE, KIND_HELLO, KIND_SUMMARY,
 };
 use crate::FleetError;
-use dpmg_pipeline::{shard_of_key, PipelineConfig, Routing, ShardedPipeline};
+use dpmg_pipeline::shard_of_key;
 use dpmg_sketch::serialize::write_frame;
 use dpmg_sketch::{MisraGries, Summary};
 use dpmg_workload::Zipf;
@@ -29,19 +37,6 @@ use std::time::Instant;
 /// Environment variable that flips a fleet binary into worker mode. The
 /// value is a [`WorkerSpec`] in `key=value` form.
 pub const WORKER_ENV: &str = "DPMG_FLEET_WORKER";
-
-/// How the worker sketches its slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IngestMode {
-    /// Inline per-shard Misra–Gries updates on the worker's thread — no
-    /// intra-process pipeline. The right choice when each worker owns few
-    /// shards (the fleet already provides the parallelism).
-    Direct,
-    /// A full [`ShardedPipeline`] with [`Routing::HashKeyRange`] — one
-    /// OS thread per owned shard inside the worker. The right choice when
-    /// each worker owns many shards on a many-core box.
-    Pipeline,
-}
 
 /// Where an injected crash fires (test/chaos use only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,24 +59,24 @@ impl CrashPoint {
             CrashPoint::MidFrame => "mid-frame".to_string(),
         }
     }
+}
 
-    fn from_spec(s: &str) -> Result<Option<Self>, FleetError> {
-        if s == "none" {
-            return Ok(None);
+/// Parses `before-hello`, `mid-frame` or `after-summaries:N` — the form
+/// used by the `crash=` key of [`WorkerSpec::to_env_string`] and of the
+/// `aggregator` binary.
+impl std::str::FromStr for CrashPoint {
+    type Err = FleetError;
+
+    fn from_str(s: &str) -> Result<Self, FleetError> {
+        match s {
+            "before-hello" => Ok(CrashPoint::BeforeHello),
+            "mid-frame" => Ok(CrashPoint::MidFrame),
+            _ => s
+                .strip_prefix("after-summaries:")
+                .and_then(|n| n.parse::<usize>().ok())
+                .map(CrashPoint::AfterSummaries)
+                .ok_or_else(|| FleetError::Spec(format!("bad crash spec: {s}"))),
         }
-        if s == "before-hello" {
-            return Ok(Some(CrashPoint::BeforeHello));
-        }
-        if s == "mid-frame" {
-            return Ok(Some(CrashPoint::MidFrame));
-        }
-        if let Some(n) = s.strip_prefix("after-summaries:") {
-            let n = n
-                .parse::<usize>()
-                .map_err(|_| FleetError::Spec(format!("bad crash spec: {s}")))?;
-            return Ok(Some(CrashPoint::AfterSummaries(n)));
-        }
-        Err(FleetError::Spec(format!("bad crash spec: {s}")))
     }
 }
 
@@ -97,8 +92,6 @@ pub struct WorkerSpec {
     pub shards_per_worker: usize,
     /// Misra–Gries size `k` for every shard sketch.
     pub k: usize,
-    /// Sketching strategy.
-    pub mode: IngestMode,
     /// Optional injected crash.
     pub crash: Option<CrashPoint>,
     /// Workload: total stream length (before partitioning).
@@ -139,8 +132,9 @@ impl WorkerSpec {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Spec`] on zero counts, id out of range, or a shard
-    /// space that overflows `usize`.
+    /// [`FleetError::Spec`] on zero counts, id out of range, a shard space
+    /// that overflows `usize`, or a workload the stream generator cannot
+    /// draw (`universe = 0`, or a `skew` that is negative or not finite).
     pub fn validate(&self) -> Result<(), FleetError> {
         if self.workers == 0 || self.shards_per_worker == 0 || self.k == 0 {
             return Err(FleetError::Spec(
@@ -156,18 +150,23 @@ impl WorkerSpec {
         if self.workers.checked_mul(self.shards_per_worker).is_none() {
             return Err(FleetError::Spec("shard space overflows usize".to_string()));
         }
+        if self.universe == 0 {
+            return Err(FleetError::Spec("universe must be nonzero".to_string()));
+        }
+        if !(self.skew.is_finite() && self.skew >= 0.0) {
+            return Err(FleetError::Spec(format!(
+                "skew must be finite and ≥ 0, got {}",
+                self.skew
+            )));
+        }
         Ok(())
     }
 
     /// Serializes to the `key=value` form carried in [`WORKER_ENV`].
     pub fn to_env_string(&self) -> String {
-        let mode = match self.mode {
-            IngestMode::Direct => "direct",
-            IngestMode::Pipeline => "pipeline",
-        };
         let crash = self.crash.map_or("none".to_string(), CrashPoint::to_spec);
         format!(
-            "worker_id={} workers={} shards_per_worker={} k={} mode={mode} crash={crash} \
+            "worker_id={} workers={} shards_per_worker={} k={} crash={crash} \
              stream_n={} universe={} skew={} seed={}",
             self.worker_id,
             self.workers,
@@ -191,7 +190,6 @@ impl WorkerSpec {
         let mut workers = None;
         let mut shards_per_worker = None;
         let mut k = None;
-        let mut mode = None;
         let mut crash = None;
         let mut stream_n = None;
         let mut universe = None;
@@ -222,17 +220,13 @@ impl WorkerSpec {
                     put(&mut shards_per_worker, parse::<usize>(value, key)?, key)?;
                 }
                 "k" => put(&mut k, parse::<usize>(value, key)?, key)?,
-                "mode" => {
-                    let m = match value {
-                        "direct" => IngestMode::Direct,
-                        "pipeline" => IngestMode::Pipeline,
-                        other => {
-                            return Err(FleetError::Spec(format!("bad mode: {other}")));
-                        }
+                "crash" => {
+                    let point = match value {
+                        "none" => None,
+                        spec => Some(spec.parse::<CrashPoint>()?),
                     };
-                    put(&mut mode, m, key)?;
+                    put(&mut crash, point, key)?;
                 }
-                "crash" => put(&mut crash, CrashPoint::from_spec(value)?, key)?,
                 "stream_n" => put(&mut stream_n, parse::<usize>(value, key)?, key)?,
                 "universe" => put(&mut universe, parse::<u64>(value, key)?, key)?,
                 "skew" => put(&mut skew, parse::<f64>(value, key)?, key)?,
@@ -249,7 +243,6 @@ impl WorkerSpec {
             workers: need(workers, "workers")?,
             shards_per_worker: need(shards_per_worker, "shards_per_worker")?,
             k: need(k, "k")?,
-            mode: need(mode, "mode")?,
             crash: need(crash, "crash")?,
             stream_n: need(stream_n, "stream_n")?,
             universe: need(universe, "universe")?,
@@ -280,17 +273,17 @@ pub struct WorkerRunStats {
 /// Runs one worker over an explicit transport: announce HELLO, wait for GO,
 /// sketch the owned slice, stream the report.
 ///
-/// The caller supplies the full fleet stream; the worker filters to its own
-/// shard block *before* the timed region, so the measured `elapsed_ns` spans
-/// sketching only (matching how the single-process ingest benchmark excludes
-/// generation). Injected crashes ([`WorkerSpec::crash`]) return `Ok` with
-/// whatever was sent so far — from the aggregator's point of view the
-/// process just died.
+/// The caller supplies the full fleet stream; the worker partitions it into
+/// its owned shards *before* the timed region, so the measured `elapsed_ns`
+/// spans sketching only (matching how the single-process ingest benchmark
+/// excludes generation). Injected crashes ([`WorkerSpec::crash`]) return
+/// `Ok` with whatever was sent so far — from the aggregator's point of view
+/// the process just died.
 ///
 /// # Errors
 ///
 /// [`FleetError::Spec`] on an invalid spec, transport/framing errors while
-/// reporting, [`FleetError::Pipeline`] from the in-worker pipeline.
+/// reporting.
 pub fn run_worker<R: Read, W: Write>(
     spec: &WorkerSpec,
     stream: &[u64],
@@ -302,17 +295,18 @@ pub fn run_worker<R: Read, W: Write>(
     let first = spec.first_shard();
     let s = spec.shards_per_worker;
 
-    // Partition (untimed): keep only items whose global shard falls in our
-    // block. This mirrors what a real deployment's upstream router would
+    // Partition (untimed): hash each item once over the global shard space
+    // and keep those in our block, one vector per owned shard in arrival
+    // order. This mirrors what a real deployment's upstream router would
     // deliver to this process.
-    let slice: Vec<u64> = stream
-        .iter()
-        .copied()
-        .filter(|x| {
-            let g = shard_of_key(x, total);
-            (first..first + s).contains(&g)
-        })
-        .collect();
+    let mut owned: Vec<Vec<u64>> = vec![Vec::new(); s];
+    for &x in stream {
+        let local = shard_of_key(&x, total).wrapping_sub(first);
+        if local < s {
+            owned[local].push(x);
+        }
+    }
+    let items = owned.iter().map(|shard| shard.len() as u64).sum();
 
     if spec.crash == Some(CrashPoint::BeforeHello) {
         return Ok(WorkerRunStats {
@@ -326,33 +320,15 @@ pub fn run_worker<R: Read, W: Write>(
     read_go(go)?;
 
     let start = Instant::now();
-    let summaries: Vec<Summary<u64>> = match spec.mode {
-        IngestMode::Direct => {
-            let mut sketches: Vec<MisraGries<u64>> = (0..s)
-                .map(|_| MisraGries::new(spec.k))
-                .collect::<Result<_, _>>()?;
-            if s == 1 {
-                sketches[0].extend_batch(&slice);
-            } else {
-                for &x in &slice {
-                    sketches[shard_of_key(&x, total) - first].update(x);
-                }
-            }
-            sketches.iter().map(MisraGries::summary).collect()
-        }
-        IngestMode::Pipeline => {
-            let config = PipelineConfig::new(s, spec.k).with_routing(Routing::HashKeyRange {
-                total_shards: total,
-                first_shard: first,
-            });
-            let mut pipe = ShardedPipeline::new(config)?;
-            pipe.ingest_from(slice.iter().copied())?;
-            pipe.finish()?;
-            pipe.shard_summaries()?.to_vec()
-        }
-    };
+    let summaries = owned
+        .iter()
+        .map(|shard| {
+            let mut sketch = MisraGries::new(spec.k)?;
+            sketch.extend_batch(shard);
+            Ok(sketch.summary())
+        })
+        .collect::<Result<Vec<Summary<u64>>, FleetError>>()?;
     let elapsed_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let items = slice.len() as u64;
     let stats = WorkerRunStats { items, elapsed_ns };
 
     write_frame(out, KIND_DONE, &encode_done(items, elapsed_ns))?;
@@ -422,7 +398,6 @@ mod tests {
             workers: 3,
             shards_per_worker: 2,
             k: 16,
-            mode: IngestMode::Direct,
             crash: None,
             stream_n: 5_000,
             universe: 1 << 14,
@@ -439,13 +414,10 @@ mod tests {
             Some(CrashPoint::AfterSummaries(1)),
             Some(CrashPoint::MidFrame),
         ] {
-            for mode in [IngestMode::Direct, IngestMode::Pipeline] {
-                let mut s = spec(1);
-                s.crash = crash;
-                s.mode = mode;
-                let parsed = WorkerSpec::from_env_string(&s.to_env_string()).unwrap();
-                assert_eq!(parsed, s);
-            }
+            let mut s = spec(1);
+            s.crash = crash;
+            let parsed = WorkerSpec::from_env_string(&s.to_env_string()).unwrap();
+            assert_eq!(parsed, s);
         }
     }
 
@@ -456,12 +428,23 @@ mod tests {
             "worker_id=0",
             "worker_id=0 worker_id=1",
             "nonsense",
-            "worker_id=x workers=1 shards_per_worker=1 k=1 mode=direct crash=none \
+            "worker_id=x workers=1 shards_per_worker=1 k=1 crash=none \
              stream_n=1 universe=1 skew=1 seed=1",
-            "worker_id=0 workers=1 shards_per_worker=1 k=1 mode=warp crash=none \
+            "worker_id=0 workers=1 shards_per_worker=1 k=1 crash=warp \
              stream_n=1 universe=1 skew=1 seed=1",
-            "worker_id=5 workers=2 shards_per_worker=1 k=1 mode=direct crash=none \
+            "worker_id=5 workers=2 shards_per_worker=1 k=1 crash=none \
              stream_n=1 universe=1 skew=1 seed=1",
+            "worker_id=0 workers=1 shards_per_worker=1 k=1 mode=direct crash=none \
+             stream_n=1 universe=1 skew=1 seed=1",
+            // Workloads the stream generator would panic on.
+            "worker_id=0 workers=1 shards_per_worker=1 k=1 crash=none \
+             stream_n=1 universe=0 skew=1 seed=1",
+            "worker_id=0 workers=1 shards_per_worker=1 k=1 crash=none \
+             stream_n=1 universe=1 skew=-1 seed=1",
+            "worker_id=0 workers=1 shards_per_worker=1 k=1 crash=none \
+             stream_n=1 universe=1 skew=NaN seed=1",
+            "worker_id=0 workers=1 shards_per_worker=1 k=1 crash=none \
+             stream_n=1 universe=1 skew=inf seed=1",
         ] {
             assert!(
                 WorkerSpec::from_env_string(bad).is_err(),
@@ -470,39 +453,74 @@ mod tests {
         }
     }
 
-    /// Both ingest modes produce the same report, and together the fleet's
-    /// summaries reproduce the single-process sharded reference bit-exactly.
+    /// At every block width the fleet's summaries reproduce the
+    /// single-process sharded reference bit-exactly, and every item lands in
+    /// exactly one worker's slice. The last shape's stream is short enough
+    /// that some owned shard receives no items; its empty summary must
+    /// match the reference's too.
     #[test]
-    fn workers_reproduce_the_sequential_reference_in_both_modes() {
-        let template = spec(0);
-        let stream = template.generate_stream();
-        let (reference, merged_ref) = dpmg_pipeline::sequential_sharded_reference(
-            &stream,
-            template.total_shards(),
-            template.k,
-        );
+    fn workers_reproduce_the_sequential_reference() {
+        let mut shapes: Vec<WorkerSpec> = (1..=3)
+            .map(|shards_per_worker| WorkerSpec {
+                shards_per_worker,
+                ..spec(0)
+            })
+            .collect();
+        let sparse = WorkerSpec {
+            shards_per_worker: 3,
+            ..spec(0)
+        };
+        let total = sparse.total_shards();
+        let stream_n = (1..=64)
+            .rev()
+            .find(|&n| {
+                let stream = WorkerSpec {
+                    stream_n: n,
+                    ..sparse.clone()
+                }
+                .generate_stream();
+                (0..total).any(|g| stream.iter().all(|x| shard_of_key(x, total) != g))
+            })
+            .expect("at most 8 items cannot cover 9 shards");
+        shapes.push(WorkerSpec { stream_n, ..sparse });
 
-        for mode in [IngestMode::Direct, IngestMode::Pipeline] {
+        for template in &shapes {
+            let stream = template.generate_stream();
+            let (reference, merged_ref) = dpmg_pipeline::sequential_sharded_reference(
+                &stream,
+                template.total_shards(),
+                template.k,
+            );
+            let shape = format!(
+                "{}×{} over {} items",
+                template.workers, template.shards_per_worker, template.stream_n
+            );
             let mut collected: Vec<Summary<u64>> = Vec::new();
+            let mut items = 0;
             for w in 0..template.workers {
-                let mut s = spec(w);
-                s.mode = mode;
+                let s = WorkerSpec {
+                    worker_id: w,
+                    ..template.clone()
+                };
                 let mut wire = Vec::new();
                 let mut go: &[u8] = &[crate::protocol::GO_BYTE];
-                run_worker(&s, &stream, &mut go, &mut wire).unwrap();
+                let stats = run_worker(&s, &stream, &mut go, &mut wire).unwrap();
 
                 let mut r = wire.as_slice();
                 let hello = read_hello(&mut r).unwrap();
                 assert_eq!(hello, s.hello());
                 let report = read_report(&mut r, hello).unwrap();
+                assert_eq!(report.items, stats.items);
                 assert_eq!(report.summaries.len(), s.shards_per_worker);
+                items += report.items;
                 collected.extend(report.summaries);
             }
-            assert_eq!(collected, reference, "mode {mode:?} diverged per shard");
+            assert_eq!(items, stream.len() as u64, "{shape}");
+            assert_eq!(collected, reference, "{shape} diverged per shard");
             assert_eq!(
                 merge_tree(&collected).unwrap(),
                 merged_ref,
-                "mode {mode:?} diverged after merge"
+                "{shape} diverged after merge"
             );
         }
     }

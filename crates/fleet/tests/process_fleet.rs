@@ -2,10 +2,11 @@
 //! mode as actual child processes over pipes, and check that the
 //! orchestrator's merged result is bit-identical to the single-process
 //! sharded reference, that injected crashes are retried and recovered, and
-//! that exhausted retries surface as coverage gaps.
+//! that exhausted retries surface as coverage gaps. The same binary is also
+//! run in its aggregator role, through its documented `key=value` flags.
 
 use dpmg_fleet::{
-    run_process_fleet, CrashPoint, FleetConfig, IngestMode, WorkerOutcome, WorkerSpec, WORKER_ENV,
+    run_process_fleet, CrashPoint, FleetConfig, FleetError, WorkerOutcome, WorkerSpec, WORKER_ENV,
 };
 use dpmg_pipeline::sequential_sharded_reference;
 use std::process::Command;
@@ -19,7 +20,6 @@ fn base_spec(workers: usize, shards_per_worker: usize) -> WorkerSpec {
         workers,
         shards_per_worker,
         k: 16,
-        mode: IngestMode::Direct,
         crash: None,
         stream_n: 30_000,
         universe: 1 << 12,
@@ -114,4 +114,60 @@ fn exhausted_retries_surface_as_a_coverage_gap() {
         report.merged,
         dpmg_sketch::merge::merge_tree(&per_shard[1..2]).unwrap()
     );
+}
+
+#[test]
+fn a_workload_the_worker_cannot_generate_is_refused_before_spawning() {
+    let config = config(2, 1, 0);
+    let spec_for = |worker_id: usize, _attempt: usize| WorkerSpec {
+        worker_id,
+        universe: 0,
+        ..base_spec(2, 1)
+    };
+    let never_spawn = |_: &WorkerSpec| -> Command { panic!("no worker may be spawned") };
+    let err = run_process_fleet(&config, &spec_for, &never_spawn).unwrap_err();
+    assert!(matches!(err, FleetError::Spec(_)), "got: {err}");
+}
+
+/// Runs the binary in its aggregator role with `args` and returns
+/// `(exit success, stdout, stderr)`.
+fn run_aggregator(args: &[&str]) -> (bool, String, String) {
+    let out = Command::new(WORKER_BIN)
+        .env_remove(WORKER_ENV)
+        .args(args)
+        .output()
+        .unwrap();
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn aggregator_binary_absorbs_an_injected_crash_on_retry() {
+    let (ok, stdout, stderr) = run_aggregator(&[
+        "workers=2",
+        "shards_per_worker=2",
+        "stream_n=50000",
+        "crash=1:mid-frame",
+        "retries=1",
+    ]);
+    assert!(ok, "stdout:\n{stdout}\nstderr:\n{stderr}");
+    assert!(stdout.contains("coverage: 4/4"), "stdout:\n{stdout}");
+}
+
+#[test]
+fn aggregator_binary_refuses_a_crash_for_a_worker_it_does_not_run() {
+    let (ok, stdout, stderr) =
+        run_aggregator(&["workers=2", "stream_n=50000", "crash=5:mid-frame"]);
+    assert!(!ok, "stdout:\n{stdout}");
+    assert!(stderr.contains("crash worker 5"), "stderr:\n{stderr}");
+}
+
+#[test]
+fn aggregator_binary_refuses_the_removed_mode_flag() {
+    let (ok, stdout, stderr) = run_aggregator(&["stream_n=50000", "mode=direct"]);
+    assert!(!ok, "stdout:\n{stdout}");
+    assert!(stderr.contains("unknown argument"), "stderr:\n{stderr}");
 }

@@ -5,8 +5,8 @@
 //! corruption suite one layer up, at the framed-report level.
 
 use dpmg_fleet::{
-    read_hello, read_report, run_worker, CrashPoint, FleetError, Hello, IngestMode, WorkerSpec,
-    GO_BYTE, KIND_HELLO,
+    read_hello, read_report, run_worker, CrashPoint, FleetError, Hello, WorkerSpec, GO_BYTE,
+    KIND_HELLO,
 };
 use dpmg_sketch::serialize::write_frame;
 use dpmg_sketch::{MisraGries, Summary};
@@ -116,7 +116,6 @@ proptest! {
             workers: 1,
             shards_per_worker: shards,
             k: 8,
-            mode: IngestMode::Direct,
             crash: Some(CrashPoint::AfterSummaries(crash_after.min(shards))),
             stream_n: 2_000,
             universe: 256,

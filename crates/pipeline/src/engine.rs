@@ -1,6 +1,6 @@
 //! The sharded ingestion engine.
 
-use crate::config::{PipelineConfig, PipelineError, Routing};
+use crate::config::{PipelineConfig, PipelineError};
 use crate::ring;
 use dpmg_sketch::merge::{merge, merge_tree};
 use dpmg_sketch::misra_gries::MisraGries;
@@ -51,9 +51,10 @@ impl Hasher for Fnv1a {
     }
 }
 
-/// The shard a key routes to under [`Routing::HashKey`]: a fixed function
-/// of the key alone. Exposed so tests and sequential references can
-/// replicate the pipeline's partitioning exactly.
+/// The shard a key routes to among `shards`: a fixed (FNV-1a) hash of the
+/// key alone, never of arrival position. It is the pipeline's only router,
+/// the fleet's partition of the global shard space, and what tests and
+/// sequential references call to replicate either exactly.
 pub fn shard_of_key<K: Hash + ?Sized>(key: &K, shards: usize) -> usize {
     debug_assert!(shards >= 1);
     let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
@@ -301,28 +302,6 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
         }
     }
 
-    fn route(&self, item: &K) -> Result<usize, PipelineError> {
-        match self.config.routing {
-            Routing::HashKey => Ok(shard_of_key(item, self.config.shards)),
-            Routing::HashKeyRange {
-                total_shards,
-                first_shard,
-            } => {
-                // Hash over the GLOBAL shard space, then translate into
-                // this worker's block. An item outside the block is a
-                // partitioning bug upstream and must fail loudly — routing
-                // it anywhere locally would corrupt the substreams the
-                // fleet's bit-identical merge depends on.
-                let global_shard = shard_of_key(item, total_shards);
-                let local = global_shard.wrapping_sub(first_shard);
-                if local >= self.config.shards {
-                    return Err(PipelineError::ForeignShardKey { global_shard });
-                }
-                Ok(local)
-            }
-        }
-    }
-
     fn dispatch(&mut self, shard: usize) -> Result<(), PipelineError> {
         if self.buffers[shard].is_empty() {
             return Ok(());
@@ -357,7 +336,7 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
     /// already performed it.
     #[inline]
     fn ingest_unchecked(&mut self, item: K) -> Result<(), PipelineError> {
-        let shard = self.route(&item)?;
+        let shard = shard_of_key(&item, self.config.shards);
         self.buffers[shard].push(item);
         self.items += 1;
         if self.buffers[shard].len() >= self.config.batch_size {
@@ -501,12 +480,10 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
     /// # Errors
     ///
     /// Any [`PipelineConfig::validate`] error of the configuration at
-    /// `new_shards` — [`PipelineError::InvalidShards`] for `new_shards = 0`,
-    /// [`PipelineError::InvalidShardRange`] when a [`Routing::HashKeyRange`]
-    /// block would no longer fit its global shard space — refused before
-    /// any worker is touched; [`PipelineError::AlreadyFinished`] after
-    /// [`Self::finish`]; worker panics as [`Self::finish`]. A poisoned
-    /// pipeline stays poisoned.
+    /// `new_shards` ([`PipelineError::InvalidShards`] for `new_shards = 0`),
+    /// refused before any worker is touched;
+    /// [`PipelineError::AlreadyFinished`] after [`Self::finish`]; worker
+    /// panics as [`Self::finish`]. A poisoned pipeline stays poisoned.
     pub fn reshard(&mut self, new_shards: usize) -> Result<(), PipelineError> {
         let resharded = PipelineConfig {
             shards: new_shards,
@@ -912,39 +889,6 @@ mod tests {
     }
 
     #[test]
-    fn reshard_refuses_a_block_outside_the_global_shard_space() {
-        // Shards [6, 8) of an 8-shard space: widening to 4 would claim
-        // [6, 10). The refusal is atomic — workers, carry and counters
-        // stay as they were and ingestion continues at 2 shards.
-        let routing = Routing::HashKeyRange {
-            total_shards: 8,
-            first_shard: 6,
-        };
-        let config = PipelineConfig::new(2, 8).with_routing(routing);
-        let owned: Vec<u64> = (0..400u64)
-            .filter(|key| shard_of_key(key, 8) >= 6)
-            .collect();
-        let (before, after) = owned.split_at(owned.len() / 2);
-        let mut pipe = ShardedPipeline::<u64>::new(config).unwrap();
-        pipe.ingest_from(before.iter().copied()).unwrap();
-        assert!(matches!(
-            pipe.reshard(4),
-            Err(PipelineError::InvalidShardRange {
-                total_shards: 8,
-                first_shard: 6,
-                shards: 4,
-            })
-        ));
-        assert_eq!(pipe.config().shards, 2);
-        assert!(pipe.carry().is_none());
-        assert_eq!(pipe.stats().items, before.len() as u64);
-        pipe.ingest_from(after.iter().copied()).unwrap();
-        let mut fresh = ShardedPipeline::<u64>::new(config).unwrap();
-        fresh.ingest_from(owned.iter().copied()).unwrap();
-        assert_eq!(pipe.merged().unwrap(), fresh.merged().unwrap());
-    }
-
-    #[test]
     fn checkpoint_sketches_capture_and_resume() {
         let stream: Vec<u64> = (0..700u64).map(|i| i % 11).collect();
         let mut pipe =
@@ -987,91 +931,5 @@ mod tests {
             ShardedPipeline::with_initial_sketches(PipelineConfig::new(1, 8), states, 0, None)
                 .is_err()
         );
-    }
-
-    #[test]
-    fn hash_key_range_block_matches_global_pipeline_substreams() {
-        // A 6-shard global space split into 3 workers of 2 shards each:
-        // each worker's per-shard summaries must be exactly the global
-        // pipeline's summaries for its block — the fleet bit-identity
-        // premise.
-        let stream: Vec<u64> = (0..4000u64).map(|i| i % 97).collect();
-        let total = 6usize;
-        let mut global =
-            ShardedPipeline::<u64>::new(PipelineConfig::new(total, 16).with_batch_size(13))
-                .unwrap();
-        global.ingest_from(stream.iter().copied()).unwrap();
-        let global_summaries = global.shard_summaries().unwrap().to_vec();
-
-        for worker in 0..3 {
-            let first = worker * 2;
-            let config = PipelineConfig::new(2, 16).with_batch_size(13).with_routing(
-                Routing::HashKeyRange {
-                    total_shards: total,
-                    first_shard: first,
-                },
-            );
-            let mut pipe = ShardedPipeline::<u64>::new(config).unwrap();
-            let slice = stream
-                .iter()
-                .copied()
-                .filter(|x| (first..first + 2).contains(&shard_of_key(x, total)));
-            pipe.ingest_from(slice).unwrap();
-            assert_eq!(
-                pipe.shard_summaries().unwrap(),
-                &global_summaries[first..first + 2],
-                "worker {worker}"
-            );
-        }
-    }
-
-    #[test]
-    fn hash_key_range_rejects_foreign_items_and_allows_release() {
-        let config = PipelineConfig::new(2, 8).with_routing(Routing::HashKeyRange {
-            total_shards: 8,
-            first_shard: 2,
-        });
-        let mut pipe = ShardedPipeline::<u64>::new(config).unwrap();
-        let mut ingested = 0u64;
-        let mut rejected = 0u64;
-        for key in 0..500u64 {
-            match pipe.ingest(key) {
-                Ok(()) => {
-                    assert!((2..4).contains(&shard_of_key(&key, 8)), "key {key}");
-                    ingested += 1;
-                }
-                Err(PipelineError::ForeignShardKey { global_shard }) => {
-                    assert!(!(2..4).contains(&global_shard), "key {key}");
-                    rejected += 1;
-                }
-                Err(other) => panic!("unexpected error: {other}"),
-            }
-        }
-        assert!(ingested > 0 && rejected > 0);
-        // The owned block's merged summary releases like any other.
-        release_once(&mut pipe, 5);
-    }
-
-    #[test]
-    fn hash_key_range_validates_block_fit() {
-        for (total, first, shards) in [(4usize, 3usize, 2usize), (0, 0, 1), (4, 5, 1)] {
-            let config = PipelineConfig::new(shards, 8).with_routing(Routing::HashKeyRange {
-                total_shards: total,
-                first_shard: first,
-            });
-            assert!(
-                matches!(
-                    ShardedPipeline::<u64>::new(config),
-                    Err(PipelineError::InvalidShardRange { .. })
-                ),
-                "total {total} first {first} shards {shards}"
-            );
-        }
-        // A block covering the whole space is just HashKey in disguise.
-        let config = PipelineConfig::new(4, 8).with_routing(Routing::HashKeyRange {
-            total_shards: 4,
-            first_shard: 0,
-        });
-        assert!(ShardedPipeline::<u64>::new(config).is_ok());
     }
 }

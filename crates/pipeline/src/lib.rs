@@ -12,7 +12,7 @@
 //! ```
 //!
 //! [`ShardedPipeline`] routes each item to one of `S` shard workers by a
-//! fixed hash of its key ([`Routing::HashKey`]), buffering items into
+//! fixed hash of its key ([`shard_of_key`]), buffering items into
 //! batches so the workers run the amortized
 //! [`MisraGries::extend_batch`](dpmg_sketch::misra_gries::MisraGries::extend_batch)
 //! hot path. Batch blocks travel over a bounded SPSC block [`ring`] per
@@ -43,7 +43,7 @@
 //!
 //! # Why the sharded release is private (Section 7)
 //!
-//! Neighbouring datasets `S ≃ S'` differ in one element. Every [`Routing`]
+//! Neighbouring datasets `S ≃ S'` differ in one element. [`shard_of_key`]
 //! is a *fixed function of the key* — never of arrival position — so
 //! removing one element changes exactly one shard's substream, by exactly
 //! that element; every other shard sees an identical stream. Then every
@@ -94,5 +94,5 @@ pub mod config;
 pub mod engine;
 pub mod ring;
 
-pub use config::{PipelineConfig, PipelineError, Routing};
+pub use config::{PipelineConfig, PipelineError};
 pub use engine::{sequential_sharded_reference, shard_of_key, PipelineStats, ShardedPipeline};

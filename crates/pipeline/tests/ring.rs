@@ -5,7 +5,7 @@
 //! hand the router a block that still aliases live (unconsumed) data.
 
 use dpmg_pipeline::ring;
-use dpmg_pipeline::{sequential_sharded_reference, PipelineConfig, Routing, ShardedPipeline};
+use dpmg_pipeline::{sequential_sharded_reference, PipelineConfig, ShardedPipeline};
 use proptest::prelude::*;
 use std::sync::mpsc;
 
@@ -172,35 +172,24 @@ fn tiny_capacity_contention_stress() {
     }
 }
 
-/// The hoisted `ingest_from` checks must not change results under either
-/// routing — the whole-space key hash, and the fleet's block of a global
-/// shard space: both are regression-compared against the per-item
-/// `ingest` path.
+/// The hoisted `ingest_from` checks must not change results: the bulk
+/// path is regression-compared against the per-item `ingest` path.
 #[test]
 fn hoisted_checks_match_per_item_path() {
     let stream: Vec<u64> = (0..10_007u64).map(|i| i % 91).collect();
-    let fleet_block = Routing::HashKeyRange {
-        total_shards: 3,
-        first_shard: 0,
-    };
-    for routing in [Routing::HashKey, fleet_block] {
-        let config = PipelineConfig::new(3, 16)
-            .with_batch_size(17)
-            .with_routing(routing);
-        let mut bulk = ShardedPipeline::new(config).unwrap();
-        bulk.ingest_from(stream.iter().copied()).unwrap();
-        let mut single = ShardedPipeline::new(config).unwrap();
-        for &x in &stream {
-            single.ingest(x).unwrap();
-        }
-        assert_eq!(
-            bulk.shard_summaries().unwrap(),
-            single.shard_summaries().unwrap(),
-            "{routing:?}"
-        );
-        assert_eq!(
-            bulk.stats().shard_stream_lens,
-            single.stats().shard_stream_lens
-        );
+    let config = PipelineConfig::new(3, 16).with_batch_size(17);
+    let mut bulk = ShardedPipeline::new(config).unwrap();
+    bulk.ingest_from(stream.iter().copied()).unwrap();
+    let mut single = ShardedPipeline::new(config).unwrap();
+    for &x in &stream {
+        single.ingest(x).unwrap();
     }
+    assert_eq!(
+        bulk.shard_summaries().unwrap(),
+        single.shard_summaries().unwrap()
+    );
+    assert_eq!(
+        bulk.stats().shard_stream_lens,
+        single.stats().shard_stream_lens
+    );
 }

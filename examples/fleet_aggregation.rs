@@ -14,8 +14,8 @@
 
 use dp_misra_gries::core::mechanism::by_name;
 use dp_misra_gries::fleet::{
-    release_fleet, run_process_fleet, run_worker_from_env, CrashPoint, FleetConfig, IngestMode,
-    WorkerOutcome, WorkerSpec, WORKER_ENV,
+    release_fleet, run_process_fleet, run_worker_from_env, CrashPoint, FleetConfig, WorkerOutcome,
+    WorkerSpec, WORKER_ENV,
 };
 use dp_misra_gries::prelude::*;
 use rand::rngs::StdRng;
@@ -50,7 +50,6 @@ fn main() {
         workers: WORKERS,
         shards_per_worker: SHARDS_PER_WORKER,
         k: K,
-        mode: IngestMode::Direct,
         crash: (worker_id == 2).then_some(CrashPoint::MidFrame),
         stream_n: STREAM_N,
         universe: 1 << 18,

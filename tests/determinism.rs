@@ -329,7 +329,7 @@ fn fleet_release_matches_single_process_reference_for_every_crash_pattern() {
     use dp_misra_gries::core::mechanism::release_merged_metered;
     use dp_misra_gries::fleet::{
         assemble, read_hello, read_report, release_fleet, run_worker, write_go, CrashPoint,
-        FleetConfig, IngestMode, WorkerSpec,
+        FleetConfig, WorkerSpec,
     };
     use dp_misra_gries::sketch::merge::merge_tree;
     use dp_misra_gries::sketch::Summary;
@@ -359,7 +359,6 @@ fn fleet_release_matches_single_process_reference_for_every_crash_pattern() {
             workers,
             shards_per_worker,
             k: 32,
-            mode: IngestMode::Direct,
             crash: None,
             stream_n: 20_000,
             universe: 1 << 12,
