@@ -54,9 +54,14 @@ impl Hasher for Fnv1a {
 /// The shard a key routes to among `shards`: a fixed (FNV-1a) hash of the
 /// key alone, never of arrival position. It is the pipeline's only router,
 /// the fleet's partition of the global shard space, and what tests and
-/// sequential references call to replicate either exactly.
+/// sequential references call to replicate either exactly. With one shard
+/// every key routes to 0 without being hashed (`x % 1` is always 0, so this
+/// is the same function, minus the per-item hash).
 pub fn shard_of_key<K: Hash + ?Sized>(key: &K, shards: usize) -> usize {
     debug_assert!(shards >= 1);
+    if shards == 1 {
+        return 0;
+    }
     let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
     key.hash(&mut h);
     (h.finish() % shards as u64) as usize
@@ -161,8 +166,8 @@ pub struct ShardedPipeline<K: Item + Send + 'static> {
     /// one summary and folded into [`Self::merged`]). `None` between
     /// epochs and after every rotation.
     carry: Option<Summary<K>>,
-    /// First shard whose worker panicked; once set, every finish/summary
-    /// call keeps failing instead of serving partial results.
+    /// First shard whose worker panicked; once set, every ingest, finish
+    /// and summary call keeps failing instead of serving partial results.
     poisoned: Option<usize>,
 }
 
@@ -319,45 +324,38 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
         Ok(())
     }
 
-    /// Routes one item to its shard, flushing that shard's batch when full.
+    /// Routes one item to its shard: [`Self::ingest_from`] over it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::ingest_from`].
+    pub fn ingest(&mut self, item: K) -> Result<(), PipelineError> {
+        self.ingest_from(std::iter::once(item))
+    }
+
+    /// Routes each item to its shard, flushing a shard's batch when full.
+    /// The finished and poison checks run once per call, not per item.
     ///
     /// # Errors
     ///
     /// [`PipelineError::AlreadyFinished`] after [`Self::finish`];
-    /// [`PipelineError::WorkerPanicked`] if the receiving worker died.
-    pub fn ingest(&mut self, item: K) -> Result<(), PipelineError> {
-        if self.summaries.is_some() {
-            return Err(PipelineError::AlreadyFinished);
-        }
-        self.ingest_unchecked(item)
-    }
-
-    /// [`Self::ingest`] without the finished check, for loops that have
-    /// already performed it.
-    #[inline]
-    fn ingest_unchecked(&mut self, item: K) -> Result<(), PipelineError> {
-        let shard = shard_of_key(&item, self.config.shards);
-        self.buffers[shard].push(item);
-        self.items += 1;
-        if self.buffers[shard].len() >= self.config.batch_size {
-            self.dispatch(shard)?;
-        }
-        Ok(())
-    }
-
-    /// Ingests a whole stream. The finished check is hoisted out of the
-    /// loop — one check per call, not per item; worker-panic errors still
-    /// surface per dispatched batch, exactly as on the per-item path.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::ingest`].
+    /// [`PipelineError::WorkerPanicked`] if a receiving worker died, in
+    /// this call or an earlier one (the item whose batch met the dead
+    /// worker is counted in [`Self::stats`]).
     pub fn ingest_from(&mut self, items: impl IntoIterator<Item = K>) -> Result<(), PipelineError> {
+        if let Some(shard) = self.poisoned {
+            return Err(PipelineError::WorkerPanicked { shard });
+        }
         if self.summaries.is_some() {
             return Err(PipelineError::AlreadyFinished);
         }
         for item in items {
-            self.ingest_unchecked(item)?;
+            let shard = shard_of_key(&item, self.config.shards);
+            self.buffers[shard].push(item);
+            self.items += 1;
+            if self.buffers[shard].len() >= self.config.batch_size {
+                self.dispatch(shard)?;
+            }
         }
         Ok(())
     }
@@ -712,6 +710,21 @@ mod tests {
                 pipe.config().shards,
                 2,
                 "a poisoned reshard changes nothing"
+            );
+        }
+    }
+
+    /// A reshard that meets a dead worker leaves no worker generation
+    /// behind; ingestion must report the poison, not index the empty link
+    /// set (it panicked before the poison check).
+    #[test]
+    fn ingest_after_a_poisoning_reshard_reports_the_dead_worker() {
+        let (mut pipe, dead) = pipeline_with_dead_worker();
+        assert!(pipe.reshard(3).is_err());
+        for result in [pipe.ingest_from((0..100).map(Bomb)), pipe.ingest(Bomb(1))] {
+            assert!(
+                matches!(result, Err(PipelineError::WorkerPanicked { shard }) if shard == dead),
+                "{result:?}"
             );
         }
     }

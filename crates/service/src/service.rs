@@ -578,37 +578,48 @@ impl<K: Item + Send + 'static> DpmgService<K> {
         self.latest().top_k(n)
     }
 
-    /// Routes one item into the current epoch, closing the epoch first when
-    /// the configured `epoch_len` is reached.
+    /// Routes one item into the current epoch: [`Self::ingest_from`] over it.
     ///
     /// # Errors
     ///
-    /// Ingestion failures, plus every [`Self::end_epoch`] failure when an
-    /// automatic epoch boundary fires — notably the budget refusal, which
-    /// repeats on every subsequent boundary until the caller stops (the
-    /// items themselves are never dropped; they accumulate in the open
-    /// epoch).
+    /// As [`Self::ingest_from`].
     pub fn ingest(&mut self, item: K) -> Result<(), ServiceError> {
-        self.pipeline.ingest(item)?;
-        self.epoch_items += 1;
-        if let Some(len) = self.config.epoch_len {
-            if self.epoch_items >= len {
-                self.end_epoch()?;
-            }
-        }
-        Ok(())
+        self.ingest_from(std::iter::once(item))
     }
 
-    /// Ingests a whole stream.
+    /// Ingests a stream as [`Self::ingest`] per item would, stopping at the
+    /// first error (later items stay in the iterator): the items up to the
+    /// next automatic epoch boundary go to the pipeline in one call, then
+    /// that boundary's [`Self::end_epoch`] runs.
     ///
     /// # Errors
     ///
-    /// As [`Self::ingest`].
+    /// Ingestion failures (their item is not counted in the open epoch),
+    /// plus every [`Self::end_epoch`] failure when an automatic boundary
+    /// fires — notably the budget refusal, which leaves the epoch open, so
+    /// every further item retries it until the caller stops (items are
+    /// never dropped; they accumulate in the open epoch).
     pub fn ingest_from(&mut self, items: impl IntoIterator<Item = K>) -> Result<(), ServiceError> {
-        for item in items {
-            self.ingest(item)?;
+        let mut items = items.into_iter();
+        loop {
+            let room = self
+                .config
+                .epoch_len
+                .map_or(u64::MAX, |len| len.saturating_sub(self.epoch_items).max(1));
+            let mut taken = 0u64;
+            let slice = items
+                .by_ref()
+                .take(usize::try_from(room).unwrap_or(usize::MAX))
+                .inspect(|_| taken += 1);
+            let ingested = self.pipeline.ingest_from(slice);
+            // The item whose dispatch failed was taken but not ingested.
+            self.epoch_items += taken.saturating_sub(u64::from(ingested.is_err()));
+            ingested?;
+            if taken < room {
+                return Ok(());
+            }
+            self.end_epoch()?;
         }
-        Ok(())
     }
 
     /// Explicit epoch tick: rotates the pipeline, performs the epoch's DP

@@ -203,19 +203,21 @@ pub struct DurableService {
     segment_seq: u64,
     buffer: Vec<u64>,
     last_checkpoint_epochs: u64,
-    /// Set when in-memory state diverged from the log: either a reshard
-    /// applied but its record failed to write (memory ahead of the log),
-    /// or a durably appended item group failed to apply (memory behind
-    /// the log). Every further mutation is refused, because anything
-    /// appended after the divergence would replay against the wrong
-    /// state. Reopening recovers from the consistent durable history.
+    /// Set when in-memory state may have diverged from the log: a record
+    /// write or fsync failed (its bytes may or may not replay), or an
+    /// appended item group failed to apply (memory behind the log). Every
+    /// further mutation is refused, because anything appended after the
+    /// divergence would replay against the wrong state. Reopening recovers
+    /// from the consistent durable history.
     poisoned: bool,
-    /// Test-only failure injection: makes the next committed group fail
-    /// its in-memory apply with a hard pipeline error *after* the record
-    /// is durably on disk — the exact window the double-logging
-    /// regression test needs to hit.
+    /// Test-only failure injection, once each, in the windows the
+    /// double-logging regression tests need: the next committed group's
+    /// apply reports a hard error *after* its record is in the log; the
+    /// next record fsync reports failure after its bytes were written.
     #[cfg(test)]
     fail_next_apply: bool,
+    #[cfg(test)]
+    fail_next_sync: bool,
 }
 
 impl std::fmt::Debug for DurableService {
@@ -398,6 +400,8 @@ impl DurableService {
             poisoned: false,
             #[cfg(test)]
             fail_next_apply: false,
+            #[cfg(test)]
+            fail_next_sync: false,
         };
         let open_epoch = OpenEpochStatus::Replayed {
             items: service.inner.open_epoch_items(),
@@ -472,41 +476,44 @@ impl DurableService {
         self.inner.transcript()
     }
 
-    /// Ingests one item under group commit: the item is buffered, and once
-    /// [`DurabilityConfig::group_commit`] items accumulate the group is
-    /// written to the WAL **first** and then applied to the service (which
-    /// may close epochs at the configured `epoch_len`). An item is
-    /// durable and query-visible only after its group commits.
+    /// Ingests one item under group commit: [`Self::ingest_from`] over it.
     ///
     /// # Errors
     ///
-    /// WAL I/O failures, plus every [`DpmgService::ingest`] error once the
-    /// group applies — notably the budget refusal at automatic epoch
-    /// boundaries. The refusal never loses data: the whole group is logged
-    /// and applied (matching replay), with the first release error
-    /// reported after.
+    /// As [`Self::ingest_from`].
     pub fn ingest(&mut self, item: u64) -> Result<(), ServiceError> {
-        self.check_not_poisoned()?;
-        self.buffer.push(item);
-        if self.buffer.len() >= self.durability.group_commit {
-            self.commit()?;
-        }
-        Ok(())
+        self.ingest_from(std::iter::once(item))
     }
 
-    /// Ingests a whole stream.
+    /// Ingests a stream under group commit as [`Self::ingest`] per item
+    /// would, stopping at the first error (later items stay in the
+    /// iterator): items fill the group buffer in bulk, and each full
+    /// [`DurabilityConfig::group_commit`] group is written to the WAL
+    /// **first**, then applied with one [`DpmgService::ingest_from`] call.
+    /// An item is durable and query-visible only after its group commits.
     ///
     /// # Errors
     ///
-    /// As [`Self::ingest`].
+    /// WAL I/O failures, which poison the service, plus every
+    /// [`DpmgService::ingest_from`] error once a group applies — notably the
+    /// budget refusal at automatic epoch boundaries. The refusal never loses
+    /// data: the whole group is logged and applied (matching replay), with
+    /// the first release error reported after.
     pub fn ingest_from(
         &mut self,
         items: impl IntoIterator<Item = u64>,
     ) -> Result<(), ServiceError> {
-        for item in items {
-            self.ingest(item)?;
+        self.check_not_poisoned()?;
+        let mut items = items.into_iter();
+        let group = self.durability.group_commit;
+        loop {
+            self.buffer
+                .extend(items.by_ref().take(group.saturating_sub(self.buffer.len())));
+            if self.buffer.len() < group {
+                return Ok(());
+            }
+            self.commit()?;
         }
-        Ok(())
     }
 
     /// Forces out a partial group commit: buffered items become durable,
@@ -525,12 +532,13 @@ impl DurableService {
     ///
     /// # Errors
     ///
-    /// As [`DpmgService::end_epoch`] plus WAL I/O. A budget refusal leaves
-    /// the epoch open exactly like the inner service; the journaled tick
-    /// replays to the same refusal.
+    /// As [`DpmgService::end_epoch`] plus WAL I/O, which poisons the
+    /// service (see [`Self::commit`]). A budget refusal leaves the epoch
+    /// open exactly like the inner service; the journaled tick replays to
+    /// the same refusal.
     pub fn end_epoch(&mut self) -> Result<Arc<ReleasedSnapshot<u64>>, ServiceError> {
         self.commit()?;
-        self.append_record(RECORD_EPOCH_END, &[])?;
+        self.append(wal_record(RECORD_EPOCH_END, 0)?)?;
         let snapshot = self.inner.end_epoch()?;
         self.maybe_checkpoint()?;
         Ok(snapshot)
@@ -551,14 +559,10 @@ impl DurableService {
     /// pre-reshard state.
     pub fn reshard(&mut self, new_shards: usize) -> Result<(), ServiceError> {
         self.commit()?;
+        let mut record = wal_record(RECORD_RESHARD, 8)?;
+        record.u64(new_shards as u64);
         self.inner.reshard(new_shards)?;
-        match self.append_record(RECORD_RESHARD, &(new_shards as u64).to_le_bytes()) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.poisoned = true;
-                Err(e)
-            }
-        }
+        self.append(record)
     }
 
     /// Writes a checkpoint now and truncates the WAL behind it (the
@@ -576,12 +580,12 @@ impl DurableService {
         self.write_checkpoint()
     }
 
-    /// Hot path: encodes the `Items` record in one pass straight into the
-    /// write buffer (no intermediate body copy) and clears — rather than
-    /// replaces — the group buffer, so its capacity is reused across
-    /// commits. Combined with the word-folded checksum this keeps the
-    /// journaling overhead on the ingest thread within the perf gate's
-    /// bound.
+    /// Writes the buffered group to the WAL as one `Items` record (items
+    /// encoded by one [`Writer::u64s`] call), then applies it; the buffer is
+    /// cleared, not replaced, so its capacity is reused. Once the write
+    /// starts the group is retired whatever happens: an I/O error or a hard
+    /// apply error poisons the service, so a retry can never append the
+    /// same group twice.
     fn commit(&mut self) -> Result<(), ServiceError> {
         self.check_not_poisoned()?;
         if self.buffer.is_empty() {
@@ -589,51 +593,27 @@ impl DurableService {
         }
         let mut record = wal_record(RECORD_ITEMS, 8 + self.buffer.len() * 8)?;
         record.u64(self.buffer.len() as u64);
-        for &item in &self.buffer {
-            record.u64(item);
-        }
-        self.segment.write_all(&record.seal(WAL_CHECKSUM))?;
-        if self.durability.sync_writes {
-            self.segment.sync_data()?;
-        }
-        // The group is durably in the log from here on: replay WILL apply
-        // it on the next open. The buffer must therefore be retired no
-        // matter how the in-memory apply goes — keeping it across a hard
-        // apply error would let a retried flush append the *same group
-        // again*, and replay would then apply it twice while the live
-        // service applied it once.
-        let first_error = match self.apply_committed_group() {
-            Ok(soft) => soft,
-            Err(hard) => {
-                // Memory is now behind the log (the group is durable but
-                // only partially applied). Poison: further mutations would
-                // extend the log from diverged state; reopening replays
-                // the durable history — this group included, exactly once.
-                self.buffer.clear();
-                self.poisoned = true;
-                return Err(hard);
-            }
+        record.u64s(&self.buffer);
+        self.append(record)?;
+        // The group is in the log from here on: replay WILL apply it on the
+        // next open, so the buffer is retired however the apply goes — kept
+        // across a hard apply error, a retried flush would append the *same
+        // group again*. A hard error leaves memory behind the log: poison,
+        // so nothing extends the log from diverged state; reopening replays
+        // this group exactly once.
+        let applied = apply_items(&mut self.inner, &self.buffer);
+        #[cfg(test)]
+        let applied = match std::mem::take(&mut self.fail_next_apply) {
+            true => Err(ServiceError::Persistence("injected hard apply failure")),
+            false => applied,
         };
         self.buffer.clear();
+        if applied.is_err() {
+            self.poisoned = true;
+        }
+        let first_error = applied?;
         self.maybe_checkpoint()?;
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Applies the just-logged group to the in-memory service. Split out
-    /// of [`Self::commit`] so tests can inject a hard apply failure in the
-    /// window after the record is durable but before it is applied.
-    fn apply_committed_group(&mut self) -> Result<Option<ServiceError>, ServiceError> {
-        #[cfg(test)]
-        if self.fail_next_apply {
-            self.fail_next_apply = false;
-            return Err(ServiceError::Persistence(
-                "injected hard apply failure (test hook)",
-            ));
-        }
-        apply_items(&mut self.inner, &self.buffer)
+        first_error.map_or(Ok(()), Err)
     }
 
     fn maybe_checkpoint(&mut self) -> Result<(), ServiceError> {
@@ -698,22 +678,31 @@ impl DurableService {
         if self.poisoned {
             return Err(ServiceError::Persistence(
                 "service is poisoned: in-memory state diverged from the wal \
-                 (a reshard record failed to write, or a logged group failed \
-                 to apply) — reopen to recover from the durable state",
+                 (a wal write or fsync failed, or a logged group failed to \
+                 apply) — reopen to recover from the durable state",
             ));
         }
         Ok(())
     }
 
-    fn append_record(&mut self, kind: u8, body: &[u8]) -> Result<(), ServiceError> {
-        self.check_not_poisoned()?;
-        let mut record = wal_record(kind, body.len())?;
-        record.bytes(body);
-        self.segment.write_all(&record.seal(WAL_CHECKSUM))?;
-        if self.durability.sync_writes {
-            self.segment.sync_data()?;
+    /// Seals `record` and appends it to the segment, fsyncing it under
+    /// [`DurabilityConfig::sync_writes`]. Any I/O error poisons the service
+    /// and retires the group buffer: the record may already be in the
+    /// segment, and a failed fsync is never retried.
+    fn append(&mut self, record: Writer) -> Result<(), ServiceError> {
+        let mut written = self.segment.write_all(&record.seal(WAL_CHECKSUM));
+        if written.is_ok() && self.durability.sync_writes {
+            written = self.segment.sync_data();
+            #[cfg(test)]
+            if std::mem::take(&mut self.fail_next_sync) {
+                written = Err(std::io::Error::other("injected fsync failure (test hook)"));
+            }
         }
-        Ok(())
+        if written.is_err() {
+            self.buffer.clear();
+            self.poisoned = true;
+        }
+        written.map_err(ServiceError::from)
     }
 
     /// Deletes segments, checkpoints, and orphaned checkpoint tmp files
@@ -796,26 +785,25 @@ fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// Applies a committed group, continuing through release refusals exactly
-/// like replay does (the first such error is handed back for the live
-/// caller; fatal engine errors abort immediately).
+/// Applies a committed group with [`DpmgService::ingest_from`], resuming
+/// after each release refusal exactly like replay does (the first such
+/// error is handed back for the live caller; fatal engine errors abort
+/// immediately).
 fn apply_items(
     service: &mut DpmgService<u64>,
     items: &[u64],
 ) -> Result<Option<ServiceError>, ServiceError> {
+    let mut items = items.iter().copied();
     let mut first_error = None;
-    for &item in items {
-        match service.ingest(item) {
-            Ok(()) => {}
+    loop {
+        match service.ingest_from(items.by_ref()) {
+            Ok(()) => return Ok(first_error),
             Err(e @ (ServiceError::Release(_) | ServiceError::HorizonExhausted { .. })) => {
-                if first_error.is_none() {
-                    first_error = Some(e);
-                }
+                first_error.get_or_insert(e);
             }
             Err(e) => return Err(e),
         }
     }
-    Ok(first_error)
 }
 
 struct SegmentReplay {
@@ -1097,6 +1085,35 @@ mod tests {
         let (recovered, report) = open(durability).unwrap();
         assert_eq!(report.items_replayed, 50);
         assert_eq!(recovered.open_epoch_items(), 50);
+    }
+
+    /// Regression for the retried-fsync bug: a failed write or fsync left
+    /// the group buffered and the service live, so a retried `flush`
+    /// appended the same group again and replay applied it twice.
+    #[test]
+    fn failed_fsync_poisons_and_never_double_logs() {
+        let dir = TempDir::new("fsync-poison");
+        let durability = DurabilityConfig::new(&dir.0)
+            .with_group_commit(1_000)
+            .with_sync_writes(true);
+        {
+            let (mut svc, _) = open(durability.clone()).unwrap();
+            svc.ingest_from(0..100u64).unwrap();
+            svc.fail_next_sync = true;
+            let err = svc.flush().unwrap_err();
+            assert!(matches!(err, ServiceError::Io(_)), "{err}");
+            assert_eq!(svc.buffered_items(), 0, "buffer must be retired");
+            for retry in [svc.flush(), svc.ingest(1), svc.end_epoch().map(drop)] {
+                let err = retry.unwrap_err();
+                assert!(err.to_string().contains("poisoned"), "{err}");
+            }
+        }
+        // The written record replays exactly once; the poisoned drop
+        // appended nothing.
+        let (recovered, report) = open(durability).unwrap();
+        assert_eq!(report.items_replayed, 100);
+        assert_eq!(recovered.open_epoch_items(), 100);
+        assert_eq!(recovered.completed_epochs(), 0);
     }
 
     /// The Items record for `items`, as `commit` writes it.

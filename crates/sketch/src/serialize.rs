@@ -180,6 +180,16 @@ impl Writer {
         self.bytes(&v.to_le_bytes());
     }
 
+    /// Appends every `u64` of `vs` in order: exactly the bytes of one
+    /// [`Self::u64`] call per value, written as one fixed-width block.
+    pub fn u64s(&mut self, vs: &[u64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + vs.len() * 8, 0);
+        for (field, v) in self.buf[start..].chunks_exact_mut(8).zip(vs) {
+            field.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
     /// Appends an `f64` as its IEEE-754 bits.
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
@@ -812,6 +822,25 @@ mod tests {
     }
 
     proptest! {
+        /// `u64s` writes exactly the bytes of one `u64` call per value,
+        /// also behind an unaligned prefix.
+        #[test]
+        fn prop_u64s_writes_the_bytes_of_repeated_u64(
+            prefix in proptest::collection::vec(0u8..=u8::MAX, 0..9),
+            values in proptest::collection::vec(0u64..=u64::MAX, 0..64),
+        ) {
+            let mut bulk = Writer::default();
+            let mut each = Writer::default();
+            for w in [&mut bulk, &mut each] {
+                w.bytes(&prefix);
+            }
+            bulk.u64s(&values);
+            for &v in &values {
+                each.u64(v);
+            }
+            prop_assert_eq!(bulk.into_bytes(), each.into_bytes());
+        }
+
         #[test]
         fn prop_round_trip(
             entries in proptest::collection::btree_map(0u64..1000, 0u64..1_000_000, 0..16),
