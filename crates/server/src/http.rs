@@ -4,9 +4,13 @@
 //!
 //! Supported: request line + headers + `Content-Length` bodies, percent
 //! decoding of query strings, keep-alive (the HTTP/1.1 default) and
-//! `Connection: close`. Deliberately absent: chunked transfer encoding,
-//! `Expect: 100-continue`, pipelining beyond one in-flight request, TLS —
-//! none of which the loopback/bench/test clients need.
+//! `Connection: close`. A request with `Transfer-Encoding` (chunked or
+//! any other coding) is refused with 501 and close, and one with two
+//! differing `Content-Length` values with 400 and close (RFC 9112 §6.1,
+//! §6.3): framing either by a guessed length would run the rest of its
+//! body as a second, unseen request on the same connection. Deliberately
+//! absent: `Expect: 100-continue`, pipelining beyond one in-flight
+//! request, TLS — none of which the loopback/bench/test clients need.
 //!
 //! Every limit is enforced while reading, so a hostile peer cannot make
 //! the server buffer unboundedly: the request head (line + headers) is
@@ -25,6 +29,9 @@ pub const MAX_HEADERS: usize = 64;
 pub enum HttpError {
     /// Protocol violation; maps to 400. The payload names the violation.
     Malformed(&'static str),
+    /// The request uses a framing the server does not implement (any
+    /// `Transfer-Encoding`); maps to 501. The payload names it.
+    Unsupported(&'static str),
     /// Declared `Content-Length` exceeds the configured cap; maps to 413.
     BodyTooLarge {
         /// The declared length.
@@ -40,6 +47,7 @@ impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HttpError::Malformed(what) => write!(f, "malformed request: {what}"),
+            HttpError::Unsupported(what) => write!(f, "not implemented: {what}"),
             HttpError::BodyTooLarge { declared, limit } => {
                 write!(f, "body of {declared} bytes exceeds the {limit}-byte limit")
             }
@@ -104,9 +112,10 @@ impl Request {
 /// # Errors
 ///
 /// [`HttpError::Malformed`] on protocol violations (over-long head, bad
-/// request line, header without `:`, invalid `Content-Length`, truncated
-/// body), [`HttpError::BodyTooLarge`] past the `max_body` cap,
-/// [`HttpError::Io`] on socket failure.
+/// request line, header without `:`, invalid or conflicting
+/// `Content-Length`, truncated body), [`HttpError::Unsupported`] for any
+/// `Transfer-Encoding`, [`HttpError::BodyTooLarge`] past the `max_body`
+/// cap, [`HttpError::Io`] on socket failure.
 pub fn read_request(
     stream: &mut impl BufRead,
     max_body: usize,
@@ -133,12 +142,24 @@ pub fn read_request(
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed("invalid Content-Length"))?,
-        None => 0,
-    };
+    // `Transfer-Encoding` overrides `Content-Length` (RFC 9112 §6.3), so
+    // framing such a body by its length would desync the connection.
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(HttpError::Unsupported("Transfer-Encoding"));
+    }
+    let mut declared = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        // `1*DIGIT`: `usize::from_str` alone also takes a leading `+`.
+        let length = match v.parse::<usize>() {
+            Ok(length) if v.bytes().all(|b| b.is_ascii_digit()) => length,
+            _ => return Err(HttpError::Malformed("invalid Content-Length")),
+        };
+        if declared.is_some_and(|d| d != length) {
+            return Err(HttpError::Malformed("conflicting Content-Length headers"));
+        }
+        declared = Some(length);
+    }
+    let content_length = declared.unwrap_or(0);
     if content_length > max_body {
         return Err(HttpError::BodyTooLarge {
             declared: content_length,
@@ -252,8 +273,11 @@ fn percent_decode(raw: &str, plus_is_space: bool) -> Result<String, HttpError> {
     while i < bytes.len() {
         match bytes[i] {
             b'%' => {
+                // Exactly two hex digits: `from_str_radix` alone also
+                // takes a leading `+`.
                 let hex = bytes
                     .get(i + 1..i + 3)
+                    .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                     .and_then(|h| std::str::from_utf8(h).ok())
                     .and_then(|h| u8::from_str_radix(h, 16).ok())
                     .ok_or(HttpError::Malformed("bad percent escape"))?;
@@ -283,6 +307,7 @@ fn reason(status: u16) -> &'static str {
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
@@ -407,6 +432,71 @@ mod tests {
                 String::from_utf8_lossy(raw)
             );
         }
+    }
+
+    #[test]
+    fn percent_escape_takes_exactly_two_hex_digits() {
+        let req = parse(b"GET /point/%41?t=%7e HTTP/1.1\r\n\r\n")
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            (req.path.as_str(), req.query_param("t")),
+            ("/point/A", Some("~"))
+        );
+        for raw in [
+            &b"GET /point/%+5 HTTP/1.1\r\n\r\n"[..],
+            b"GET /topk?n=%+5 HTTP/1.1\r\n\r\n",
+            b"GET /topk?%+5=1 HTTP/1.1\r\n\r\n",
+            b"GET /point/%4 HTTP/1.1\r\n\r\n",
+        ] {
+            assert!(
+                matches!(parse(raw), Err(HttpError::Malformed("bad percent escape"))),
+                "{:?}",
+                String::from_utf8_lossy(raw)
+            );
+        }
+    }
+
+    #[test]
+    fn content_length_is_digits_only() {
+        for value in ["+4", "-4", "", "4 4", "0x4", "4,4"] {
+            let raw = format!("POST /ingest HTTP/1.1\r\nContent-Length: {value}\r\n\r\nabcd");
+            assert!(
+                matches!(
+                    parse(raw.as_bytes()),
+                    Err(HttpError::Malformed("invalid Content-Length"))
+                ),
+                "{value:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn transfer_encoding_is_refused_as_unsupported() {
+        for raw in [
+            &b"POST /ingest HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n"[..],
+            b"POST /ingest HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 4\r\n\r\nabcd",
+            b"POST /ingest HTTP/1.1\r\nContent-Length: 4\r\ntransfer-encoding: identity\r\n\r\nabcd",
+            b"GET /epoch HTTP/1.0\r\nTransfer-Encoding: gzip, chunked\r\n\r\n",
+        ] {
+            assert!(
+                matches!(parse(raw), Err(HttpError::Unsupported("Transfer-Encoding"))),
+                "{:?}",
+                String::from_utf8_lossy(raw)
+            );
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_malformed() {
+        let raw = b"POST /ingest HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 4\r\n\r\nabcd";
+        assert!(matches!(
+            parse(raw),
+            Err(HttpError::Malformed("conflicting Content-Length headers"))
+        ));
+        // Repeating the same length is not a conflict.
+        let raw = b"POST /ingest HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd";
+        assert_eq!(parse(raw).unwrap().unwrap().body, b"abcd");
     }
 
     #[test]

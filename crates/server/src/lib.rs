@@ -305,11 +305,12 @@ fn serve_connection(
             Err(e) => {
                 let (status, message) = match &e {
                     HttpError::BodyTooLarge { .. } => (413, e.to_string()),
+                    HttpError::Unsupported(_) => (501, e.to_string()),
                     _ => (400, e.to_string()),
                 };
                 state.metrics.record(status, 0);
                 let response = Response::json(status, api_types::error_body(status, &message));
-                // Framing is broken; close after reporting.
+                // Framing is broken or not implemented; close after reporting.
                 let _ = response.write_to(&mut writer, true);
                 return;
             }

@@ -11,7 +11,7 @@ use std::time::Instant;
 const LATENCY_RING: usize = 4096;
 
 /// Status-code classes tracked individually.
-const TRACKED_STATUS: [u16; 8] = [200, 400, 404, 405, 413, 429, 500, 503];
+const TRACKED_STATUS: [u16; 9] = [200, 400, 404, 405, 413, 429, 500, 501, 503];
 
 /// Aggregated server metrics; cheap to update per request.
 #[derive(Debug)]

@@ -224,6 +224,58 @@ fn error_mapping_is_exhaustive() {
     server.shutdown();
 }
 
+/// A request hidden in the body of another must never run: with
+/// `Transfer-Encoding: chunked` the body is the chunk (TE.CL), with two
+/// `Content-Length` values it is whatever the larger one covers (CL.CL).
+/// Either way the server answers the outer request once and closes.
+#[test]
+fn smuggled_request_behind_transfer_encoding_or_second_content_length_never_runs() {
+    let server = start_server(1, 10);
+    let addr = server.addr();
+    let hidden = "POST /epoch/end HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n";
+    let chunk_size = format!("{:x}\r\n", hidden.len());
+    let cases = [
+        (
+            501,
+            format!(
+                "POST /ingest HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\
+                 Content-Length: {}\r\n\r\n{chunk_size}{hidden}\r\n0\r\n\r\n",
+                chunk_size.len()
+            ),
+        ),
+        (
+            400,
+            format!(
+                "POST /ingest HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\
+                 Content-Length: {}\r\n\r\n{hidden}",
+                hidden.len()
+            ),
+        ),
+    ];
+    for (status, raw) in cases {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        stream.write_all(raw.as_bytes()).unwrap();
+        let mut all = Vec::new();
+        stream.read_to_end(&mut all).unwrap();
+        let text = String::from_utf8_lossy(&all);
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "one response: {text}");
+        assert!(
+            text.starts_with(&format!("HTTP/1.1 {status} ")),
+            "{status}: {text}"
+        );
+        assert!(text.contains("Connection: close\r\n"), "{text}");
+        let (_, epoch) = Client::connect(addr).get("/epoch");
+        assert!(
+            epoch.contains("\"epoch\":0"),
+            "hidden /epoch/end ran: {epoch}"
+        );
+    }
+    server.shutdown();
+}
+
 #[test]
 fn truncated_request_does_not_wedge_the_server() {
     let server = start_server(1, 10);
