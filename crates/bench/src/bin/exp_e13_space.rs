@@ -26,7 +26,7 @@ fn main() {
     );
 
     // Space accounting: the paper's 2k-word model next to the real heap
-    // footprint of the slot-id store (8-byte index entries under the ½-load
+    // footprint of the slot-id store (4-byte index entries under the ⅛-load
     // capacity policy, the dense key and counter arrays, and the split
     // eviction-bucket buffers).
     let mut t1 = Table::new(
@@ -36,12 +36,12 @@ fn main() {
     let mut footprint_bounded = true;
     for k in [64usize, 1024] {
         let mg = MisraGries::<u64>::new(k).unwrap();
-        // Slot-id store: max(8, 2k) index entries (rounded up to a power of
-        // two) of 8 B, 24 B/k of keys and counters, and the split eviction
-        // bucket (12 B/k), well within the bound below — a constant factor
-        // over the 16 B/k ideal.
-        let slot_count = (2 * k).next_power_of_two().max(8);
-        footprint_bounded &= mg.space_bytes() <= slot_count * 40 + k * 24;
+        // Slot-id store: 8k index entries (rounded up to a power of two)
+        // of 4 B, 24 B/k of keys and counters, and the split eviction
+        // bucket (12 B/k), within the bound below — a constant factor over
+        // the 16 B/k ideal.
+        let slot_count = (8 * k).next_power_of_two();
+        footprint_bounded &= mg.space_bytes() <= slot_count * 4 + k * 40;
         t1.row(&[
             "MisraGries".into(),
             k.to_string(),

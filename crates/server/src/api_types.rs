@@ -263,9 +263,9 @@ impl<'a> Parser<'a> {
             self.value(1)?;
             return Ok(Err(JsonError("'items' must be an array")));
         }
-        // Each key takes at least a digit and a separator, so this is never
-        // short: at most 4 bytes of vector per body byte.
-        let mut keys = Vec::with_capacity((self.bytes.len() - self.pos) / 2);
+        // Every key but the last is followed by a `,`, so one slot per `,`
+        // left in the body plus one is never short.
+        let mut keys = Vec::with_capacity(count_commas(&self.bytes[self.pos..]) + 1);
         let mut all_keys = true;
         self.pos += 1; // '['
         self.skip_ws();
@@ -487,6 +487,16 @@ fn is_json_number(text: &[u8]) -> bool {
         rest = &exponent[n..];
     }
     rest.is_empty()
+}
+
+/// How many `,` bytes `bytes` holds. Each block of 255 bytes is summed in
+/// a `u8`, which cannot overflow, so the compiler vectorizes the count; a
+/// plain `filter().count()` into a `usize` did not vectorize as well.
+fn count_commas(bytes: &[u8]) -> usize {
+    bytes
+        .chunks(255)
+        .map(|block| block.iter().map(|&b| u8::from(b == b',')).sum::<u8>() as usize)
+        .sum()
 }
 
 /// The 8 bytes at the start of `bytes` as a little-endian word, padded
@@ -832,6 +842,29 @@ mod tests {
 
     fn items_of(token: &str) -> Result<Vec<u64>, JsonError> {
         IngestRequest::decode(format!(r#"{{"items": [{token}]}}"#).as_bytes()).map(|r| r.items)
+    }
+
+    #[test]
+    fn items_reserve_one_slot_per_comma_plus_one() {
+        for key in [7u64, 1_234_567_890_123_456] {
+            for len in [0usize, 1, 2, 100, 8192] {
+                let keys = vec![key; len];
+                let body = format!(
+                    r#"{{"items":[{}]}}"#,
+                    keys.iter()
+                        .map(u64::to_string)
+                        .collect::<Vec<_>>()
+                        .join(",")
+                );
+                let items = IngestRequest::decode(body.as_bytes()).unwrap().items;
+                assert_eq!(items, keys);
+                assert!(
+                    items.capacity() <= len + 1,
+                    "{len} keys of {key}: capacity {}",
+                    items.capacity()
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! body at the caller's `max_body` (413 on overflow).
 
 use std::io::{BufRead, Write};
+use std::time::{Duration, Instant};
 
 /// Upper bound on the request line plus all headers, bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -104,10 +105,40 @@ impl Request {
     }
 }
 
+/// Whether `e` is a read timeout (`WouldBlock` or `TimedOut`, by platform).
+pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// When a read that fails after a request's first byte is retried: an
+/// interrupted read always, and a timeout until `deadline` has passed since
+/// the request's first timeout, unless `stop()` is true.
+struct Patience<'a> {
+    deadline: Duration,
+    stop: &'a dyn Fn() -> bool,
+    /// When a read of this request first timed out.
+    stalled: Option<Instant>,
+}
+
+impl Patience<'_> {
+    fn retry(&mut self, e: &std::io::Error) -> bool {
+        if e.kind() == std::io::ErrorKind::Interrupted {
+            return true;
+        }
+        is_timeout(e)
+            && !(self.stop)()
+            && self.stalled.get_or_insert_with(Instant::now).elapsed() < self.deadline
+    }
+}
+
 /// Reads one request off `stream`. `Ok(None)` is a clean end of the
 /// connection (EOF before any request byte); a timeout surfaces as
 /// `Err(Io)` with a `WouldBlock`/`TimedOut` kind for the caller's idle
-/// loop to distinguish.
+/// loop to distinguish. A timeout after the first byte is a stalled
+/// request ([`HttpError::Malformed`]).
 ///
 /// # Errors
 ///
@@ -120,15 +151,33 @@ pub fn read_request(
     stream: &mut impl BufRead,
     max_body: usize,
 ) -> Result<Option<Request>, HttpError> {
+    read_request_within(stream, max_body, Duration::ZERO, &|| true)
+}
+
+/// [`read_request`] for a peer that may pause mid-request: after the
+/// request's first byte, a timed-out read is retried until `deadline` has
+/// passed since the request's first timeout or `stop()` returns true. A
+/// timeout before the first byte still surfaces as `Err(Io)` at once.
+pub(crate) fn read_request_within(
+    stream: &mut impl BufRead,
+    max_body: usize,
+    deadline: Duration,
+    stop: &dyn Fn() -> bool,
+) -> Result<Option<Request>, HttpError> {
+    let mut patience = Patience {
+        deadline,
+        stop,
+        stalled: None,
+    };
     let mut head_budget = MAX_HEAD_BYTES;
-    let Some(request_line) = read_crlf_line(stream, &mut head_budget)? else {
+    let Some(request_line) = read_crlf_line(stream, &mut head_budget, &mut patience, false)? else {
         return Ok(None);
     };
     let (method, target) = parse_request_line(&request_line)?;
 
     let mut headers = Vec::new();
     loop {
-        let line = read_crlf_line(stream, &mut head_budget)?
+        let line = read_crlf_line(stream, &mut head_budget, &mut patience, true)?
             .ok_or(HttpError::Malformed("connection closed inside headers"))?;
         if line.is_empty() {
             break;
@@ -166,10 +215,21 @@ pub fn read_request(
             limit: max_body,
         });
     }
+    // `read_exact` would lose the bytes of a read that times out partway,
+    // so track the offset across retries.
     let mut body = vec![0u8; content_length];
-    stream
-        .read_exact(&mut body)
-        .map_err(|_| HttpError::Malformed("body shorter than Content-Length"))?;
+    let mut filled = 0;
+    while filled < body.len() {
+        match stream.read(&mut body[filled..]) {
+            Ok(0) => return Err(HttpError::Malformed("body shorter than Content-Length")),
+            Ok(n) => filled += n,
+            Err(e) if patience.retry(&e) => {}
+            Err(e) if is_timeout(&e) => {
+                return Err(HttpError::Malformed("request stalled mid-body"))
+            }
+            Err(_) => return Err(HttpError::Malformed("body shorter than Content-Length")),
+        }
+    }
 
     let (path, query) = split_target(target)?;
     Ok(Some(Request {
@@ -182,10 +242,14 @@ pub fn read_request(
 }
 
 /// Reads one CRLF- (or bare-LF-) terminated line, charging `budget`.
+/// `begun` says whether the request's first byte came before this line;
+/// from that byte on, failed reads are retried as `patience` allows.
 /// `Ok(None)` only at immediate EOF.
 fn read_crlf_line(
     stream: &mut impl BufRead,
     budget: &mut usize,
+    patience: &mut Patience<'_>,
+    begun: bool,
 ) -> Result<Option<String>, HttpError> {
     let mut line = Vec::new();
     loop {
@@ -199,10 +263,13 @@ fn read_crlf_line(
             }
             Ok(_) => {}
             Err(e) => {
-                // A timeout with a partial line is a stalled (truncated)
-                // request, not an idle keep-alive connection.
-                if line.is_empty() {
+                // A timeout before the request's first byte is an idle
+                // keep-alive connection; after it, a stalled request.
+                if !begun && line.is_empty() {
                     return Err(HttpError::Io(e));
+                }
+                if patience.retry(&e) {
+                    continue;
                 }
                 return Err(HttpError::Malformed("request stalled mid-line"));
             }

@@ -76,7 +76,7 @@ pub use http::{HttpError, Request, Response};
 pub use state::{AppState, ServiceBackend};
 pub use tenant::TenantRegistry;
 
-use crate::http::read_request;
+use crate::http::{is_timeout, read_request_within};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,6 +84,12 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How long a request that has begun may keep pausing, from the first read
+/// of it that times out. A client may pause mid-request for longer than
+/// [`ServerConfig::poll_interval`]; one that has not finished by this
+/// deadline gets 400 and a closed connection.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Server knobs.
 #[derive(Debug, Clone)]
@@ -94,8 +100,9 @@ pub struct ServerConfig {
     pub threads: usize,
     /// `POST` body cap in bytes; larger declared bodies get `413`.
     pub max_body_bytes: usize,
-    /// Poll granularity for idle keep-alive connections — bounds both
-    /// shutdown latency and the stalled-request (slowloris) window.
+    /// Poll granularity for idle keep-alive connections and for requests
+    /// whose bytes pause: bounds shutdown latency. A paused request is
+    /// waited on for up to 2 s from its first pause, then refused with 400.
     pub poll_interval: Duration,
 }
 
@@ -235,13 +242,6 @@ impl Drop for Server {
     }
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
 fn worker_loop(
     rx: &Mutex<Receiver<TcpStream>>,
     state: &AppState,
@@ -285,7 +285,8 @@ fn serve_connection(
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match read_request(&mut reader, config.max_body_bytes) {
+        let stop = || shutdown.load(Ordering::SeqCst);
+        match read_request_within(&mut reader, config.max_body_bytes, REQUEST_DEADLINE, &stop) {
             Ok(None) => return, // peer closed cleanly
             Ok(Some(req)) => {
                 let started = Instant::now();

@@ -301,6 +301,66 @@ fn truncated_request_does_not_wedge_the_server() {
 }
 
 #[test]
+fn request_paused_mid_line_and_mid_body_is_served() {
+    // Each pause outlasts the server's 100 ms read poll but not its
+    // per-request deadline.
+    let server = start_server(1, 10);
+    let mut client = Client::connect(server.addr());
+    let body = ingest_body_of(&[1, 2, 3, 4]);
+    let head = format!(
+        "POST /ingest HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    let pause = std::time::Duration::from_millis(300);
+    let (line_start, line_rest) = head.split_at(10);
+    let (body_start, body_rest) = body.split_at(body.len() / 2);
+    for part in [line_start, line_rest, body_start] {
+        client
+            .writer
+            .write_all(part.as_bytes())
+            .expect("the server keeps a paused request open");
+        std::thread::sleep(pause);
+    }
+    let (status, reply) = client.raw(body_rest.as_bytes());
+    assert_eq!(status, 200, "{reply}");
+    // The connection stays in step for the next request.
+    assert_eq!(client.get("/healthz").0, 200);
+    server.shutdown();
+}
+
+#[test]
+fn request_stalled_past_the_deadline_gets_400_and_close() {
+    let server = start_server(2, 10);
+    let started = std::time::Instant::now();
+    let mut stalled: Vec<Client> = [
+        &b"GET /epoch HT"[..],
+        b"POST /ingest HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"items\"",
+    ]
+    .into_iter()
+    .map(|part| {
+        let mut client = Client::connect(server.addr());
+        client.writer.write_all(part).unwrap();
+        client
+    })
+    .collect();
+    for client in &mut stalled {
+        let (status, reply) = client.read_response();
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains("stalled"), "{reply}");
+        let mut rest = Vec::new();
+        client.reader.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "connection closed after the 400");
+    }
+    // Both were waited on well past the 100 ms read poll.
+    let waited = started.elapsed();
+    assert!(
+        waited >= std::time::Duration::from_secs(1),
+        "refused after {waited:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn concurrent_keepalive_clients_see_monotone_epochs() {
     let server = start_server(4, 100);
     let addr = server.addr();

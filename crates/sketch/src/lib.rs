@@ -15,7 +15,8 @@
 //!   least `k − 2` keys and differ in the specific ways S1–S6) only holds for
 //!   this variant. Its `k` keys and counters live in dense arrays under
 //!   fixed slot ids, behind a private open-addressing key → id index (fx
-//!   hashing, packed 8-byte entries, backward-shift deletion, ½ load).
+//!   hashing, bare 4-byte `u32` id entries, backward-shift deletion, ⅛
+//!   load).
 //! * [`misra_gries_classic`] — the textbook Misra-Gries sketch that removes
 //!   zero counters immediately; Section 5.1 shows it can also be released
 //!   privately with a larger threshold.

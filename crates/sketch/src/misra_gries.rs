@@ -51,15 +51,16 @@
 //!
 //! **Storage.** The `k` slots have fixed ids: `keys[id]` and `stored[id]`
 //! are dense arrays, and a key and its counter never move. A slot-id
-//! index (`slot_index`, one packed 8-byte entry per slot: a 32-bit hash
-//! tag above the `u32` id, linear probing, fx hashing, ½ load factor)
-//! maps a key to its id. Branch 1 is one probe plus `stored[id] += m`.
-//! Branch 3 reuses the victim's id: the miss probe returned the empty
-//! index slot where it stopped, and candidate validation recorded the
-//! victim's index position, so the eviction writes the new entry into
-//! that slot, backward-shift-deletes the victim's entry (8-byte moves, no
-//! rehash), then overwrites `keys[id]` and `stored[id]`. That is two index
-//! walks per eviction, where a key-carrying table needs three. The [`naive`]
+//! index (`slot_index`: bare 4-byte `u32` ids, linear probing, fx
+//! hashing, ⅛ load factor) maps a key to its id. Branch 1 is one probe
+//! plus `stored[id] += m`. Branch 3 reuses the victim's id: the miss probe
+//! returned the empty index slot where it stopped, and candidate
+//! validation recorded the victim's index position, so the eviction
+//! overwrites `keys[id]` and `stored[id]`, writes the id into that empty
+//! slot and backward-shift-deletes the victim's entry (4-byte moves, each
+//! moved entry's home read from its key's hash). That is two index walks
+//! per eviction, where a key-carrying table needs three, and at ⅛ load
+//! each walk is usually one or two slots long. The [`naive`]
 //! submodule contains a literal transcription of Algorithm 1 used for
 //! differential testing; the two implementations are proptest-equivalent
 //! on every prefix of random streams.
@@ -203,8 +204,8 @@ pub struct MisraGries<K: Item> {
 
 impl<K: Item> MisraGries<K> {
     /// Largest supported `k`: slot ids and dummy indices are `u32`s, and
-    /// the slot-id index reads each entry's home slot from a 32-bit hash
-    /// tag, which addresses 2³² index slots, i.e. `2³¹` ids at ½ load.
+    /// the slot-id index keeps `u32::MAX` for its empty entries, so every
+    /// id stays below `2³¹`.
     pub const MAX_K: usize = MAX_IDS;
 
     /// Creates a sketch with `k ≥ 1` counters, initially holding the `k`
@@ -217,7 +218,7 @@ impl<K: Item> MisraGries<K> {
     pub fn new(k: usize) -> Result<Self, SketchError> {
         Self::check_k(k)?;
         // Capacity policy: the sketch holds exactly `k` slots for its whole
-        // lifetime, so every array is sized once, for `k` (the index at ≤ ½
+        // lifetime, so every array is sized once, for `k` (the index at ≤ ⅛
         // load, see `SlotIndex::new`).
         let mut sketch = Self::with_slots(k, Vec::with_capacity(k), Vec::with_capacity(k), 0, 0);
         sketch.clear();
@@ -411,7 +412,7 @@ impl<K: Item> MisraGries<K> {
         let hash = item_hash(&x);
         match self.find_item(&x, hash) {
             Ok((_, id)) => self.increment(id, 1),
-            Err(empty) => self.slow_absent(x, hash, empty, 1),
+            Err(empty) => self.slow_absent(x, empty, 1),
         }
     }
 
@@ -445,7 +446,7 @@ impl<K: Item> MisraGries<K> {
     /// `fresh_min` identified, now at effective count 0 — and the rest are
     /// Branch-1 increments on the freshly inserted key.
     #[inline]
-    fn slow_absent(&mut self, key: K, hash: u64, empty: usize, m: u64) {
+    fn slow_absent(&mut self, key: K, empty: usize, m: u64) {
         let min_stored = self.fresh_min();
         // Branch 2 × min(m, g): every effective counter is ≥ 1; decrement
         // all of them by bumping the global offset. The stored values are
@@ -462,17 +463,23 @@ impl<K: Item> MisraGries<K> {
             // without mutating it, so `empty` is still empty; inserting
             // there moves nothing, so `min_at` still addresses the victim
             // when it is deleted. The index briefly holds k + 1 entries in
-            // ≥ 2k slots. The replacement needs no bucket entry — its
-            // counter sits above the minimum level, and a future scan picks
-            // it up if the minimum ever reaches it.
+            // ≥ 8k slots, two of them under the victim's id. The
+            // replacement needs no bucket entry — its counter sits above
+            // the minimum level, and a future scan picks it up if the
+            // minimum ever reaches it.
             debug_assert!(self.min_fresh, "fresh_min ran just above");
             let id = self.min_id as usize;
             debug_assert_eq!(self.stored[id], self.offset);
-            self.index.insert_at(empty, hash, self.min_id);
-            self.index.remove_at(self.min_at);
+            let victim = self.index.evict(
+                &mut self.keys,
+                Slot::Item(key),
+                empty,
+                self.min_at,
+                fx_hash::<Slot<K>>,
+            );
             self.stored[id] = self.offset + remaining;
             // Retire the candidate from whichever bucket half held it.
-            match std::mem::replace(&mut self.keys[id], Slot::Item(key)) {
+            match victim {
                 Slot::Item(x) => {
                     let popped = self.bucket_items.pop();
                     debug_assert_eq!(popped, Some(x));
@@ -506,8 +513,8 @@ impl<K: Item> MisraGries<K> {
     /// workloads have much higher run density than the global stream.
     ///
     /// Runs are applied one after another, with no software pipelining: at
-    /// practical `k` the whole store (8-byte index entries plus the dense
-    /// key and counter arrays, 40 KB at k = 1024) is L1/L2-resident, so
+    /// practical `k` the whole store (4-byte index entries plus the dense
+    /// key and counter arrays, 56 KB at k = 1024) is L1/L2-resident, so
     /// hashing or prefetching the next run ahead of the current probe
     /// measured neutral. (An 8-wide hash-ahead window measured strictly
     /// slower.)
@@ -544,7 +551,7 @@ impl<K: Item> MisraGries<K> {
         let hash = item_hash(x);
         match self.find_item(x, hash) {
             Ok((_, id)) => self.increment(id, m),
-            Err(empty) => self.slow_absent(x.clone(), hash, empty, m),
+            Err(empty) => self.slow_absent(x.clone(), empty, m),
         }
     }
 
@@ -681,7 +688,7 @@ impl<K: Item> MisraGries<K> {
     }
 
     /// Real heap footprint of the sketch in bytes: the slot-id index
-    /// (8-byte entries under the ½-load policy), the dense key and counter
+    /// (4-byte entries under the ⅛-load policy), the dense key and counter
     /// arrays, and the level bucket's backing buffers. This is the
     /// concrete-machine counterpart of the paper's `2k`-word accounting
     /// ([`Self::space_words`]), used by the E13 space experiment.
@@ -846,19 +853,19 @@ mod tests {
 
     #[test]
     fn space_bytes_follows_the_dense_layout() {
-        // Index: max(8, 2k) rounded up to a power of two 8-byte entries.
+        // Index: 8k rounded up to a power of two 4-byte entries.
         // Per slot: a 16-byte `Slot<u64>` key and an 8-byte counter, plus
         // the level bucket's 8-byte item and 4-byte dummy capacity.
         for (k, index_slots) in [
             (1, 8),
-            (4, 8),
-            (5, 16),
-            (8, 16),
-            (9, 32),
-            (64, 128),
-            (1024, 2048),
+            (4, 32),
+            (5, 64),
+            (8, 64),
+            (9, 128),
+            (64, 512),
+            (1024, 8192),
         ] {
-            let want = index_slots * 8 + k * (16 + 8 + 8 + 4);
+            let want = index_slots * 4 + k * (16 + 8 + 8 + 4);
             let mut mg = MisraGries::<u64>::new(k).unwrap();
             assert_eq!(mg.space_bytes(), want, "new, k = {k}");
             let stream: Vec<u64> = (0..5000u64).map(|i| i * i % 97).collect();
@@ -890,12 +897,13 @@ mod tests {
 
     #[test]
     fn churn_with_wrapping_probe_chains_matches_naive() {
-        // At k ≤ 4 the index has 8 slots and a key's home slot is the top 3
-        // bits of its hash. Keys homed at the last slot make every insert
-        // after the first wrap around the index end, and every
-        // backward-shift deletion among them shift across it.
+        // At k ≤ 4 the index has 8 to 32 slots and a key's home slot is
+        // the top 3 to 5 bits of its hash. Keys whose top 5 bits are all
+        // set home at the last slot at every such size, so every insert
+        // among them after the first wraps around the index end, and every
+        // backward-shift deletion among them shifts across it.
         let mut universe: Vec<u64> = (0u64..)
-            .filter(|x| item_hash(x) >> 61 == 7)
+            .filter(|x| item_hash(x) >> 59 == 31)
             .take(5)
             .collect();
         universe.extend(0..7);
