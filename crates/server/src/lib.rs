@@ -25,10 +25,11 @@
 //! | `/healthz`         | GET    | liveness (lock-free)                       |
 //! | `/metrics`         | GET    | plain-text counters and latency quantiles  |
 //!
-//! Reads are lock-free: each worker owns a
+//! Reads are lock-free: each connection owns a
 //! [`QueryHandle`](dpmg_service::QueryHandle) over the service's snapshot
-//! chain. Mutations serialize through one `std::sync::Mutex`, whose
-//! poisoning maps to `503`.
+//! chain, kept at the newest snapshot so it never pins superseded ones.
+//! Mutations serialize through one `std::sync::Mutex`, whose poisoning
+//! maps to `503`.
 //!
 //! ## Tenants
 //!
@@ -248,27 +249,28 @@ fn worker_loop(
     shutdown: &AtomicBool,
     config: &ServerConfig,
 ) {
-    // One lock-free read handle per worker for the connection's lifetime.
-    let Ok(mut handle) = state.query_handle() else {
-        return;
-    };
     loop {
         let stream = {
             let rx = rx.lock().expect("connection queue poisoned");
             rx.recv()
         };
         match stream {
-            Ok(stream) => serve_connection(stream, state, &mut handle, shutdown, config),
+            Ok(stream) => serve_connection(stream, state, shutdown, config),
             Err(_) => return, // acceptor gone: shutdown
         }
     }
 }
 
 /// Serves one (keep-alive) connection until close, error, or shutdown.
+///
+/// The connection owns one lock-free read handle. The snapshot chain links
+/// forward, so a handle keeps every snapshot published after its position
+/// alive: it is moved to the newest snapshot after every request and every
+/// idle poll, and dropped with the connection, so a worker waiting for a
+/// connection pins nothing.
 fn serve_connection(
     stream: TcpStream,
     state: &AppState,
-    handle: &mut dpmg_service::QueryHandle<u64>,
     shutdown: &AtomicBool,
     config: &ServerConfig,
 ) {
@@ -281,6 +283,7 @@ fn serve_connection(
     };
     let mut reader = BufReader::new(reader_half);
     let mut writer = stream;
+    let mut handle = state.connection_handle();
     loop {
         if shutdown.load(Ordering::SeqCst) {
             return;
@@ -291,17 +294,21 @@ fn serve_connection(
             Ok(Some(req)) => {
                 let started = Instant::now();
                 let close = req.wants_close();
-                let response = handlers::handle(state, handle, &req);
+                let response = handlers::handle(state, &mut handle, &req);
                 state
                     .metrics
                     .record(response.status, started.elapsed().as_micros() as u64);
+                handle.snapshot(); // past anything this request released
                 if response.write_to(&mut writer, close).is_err() || close {
                     return;
                 }
             }
             // A timeout before the first request byte is an idle
-            // keep-alive connection: poll the shutdown flag and wait on.
-            Err(HttpError::Io(e)) if is_timeout(&e) => continue,
+            // keep-alive connection: catch up with releases served on other
+            // connections, poll the shutdown flag and wait on.
+            Err(HttpError::Io(e)) if is_timeout(&e) => {
+                handle.snapshot();
+            }
             Err(HttpError::Io(_)) => return,
             Err(e) => {
                 let (status, message) = match &e {

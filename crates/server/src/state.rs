@@ -1,8 +1,8 @@
 //! Shared server state: the service behind one mutation lock, the tenant
 //! registry, and the metrics sink.
 //!
-//! Reads never take the service lock — every worker thread owns a cloned
-//! [`QueryHandle`] that follows the service's lock-free snapshot chain, so
+//! Reads never take the service lock — every connection takes it once, for
+//! a [`QueryHandle`] that follows the service's lock-free snapshot chain, so
 //! query throughput scales with handler threads while mutations
 //! (`/ingest`, `/epoch/end`) serialize through one `std::sync::Mutex`.
 //! `std`'s mutex is chosen deliberately: its poisoning is the signal the
@@ -14,7 +14,7 @@ use dpmg_noise::accounting::PrivacyParams;
 use dpmg_service::{
     DpmgService, DurableService, QueryHandle, ReleasedSnapshot, ServiceError, ServiceMode,
 };
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The backend mutex is poisoned: a handler panicked mid-mutation, so the
 /// in-memory service state is suspect. Mapped to `503` by the caller.
@@ -157,12 +157,24 @@ impl AppState {
         self.backend.lock().map_err(|_| PoisonedState)
     }
 
-    /// A fresh lock-free read handle (taken once per worker thread).
+    /// A fresh lock-free read handle.
     ///
     /// # Errors
     ///
     /// [`PoisonedState`] when the backend mutex is poisoned.
     pub fn query_handle(&self) -> Result<QueryHandle<u64>, PoisonedState> {
         Ok(self.backend()?.query_handle())
+    }
+
+    /// The read handle a connection serves from. A poisoned lock does not
+    /// stop reads: the service replaces its snapshot tail in one assignment
+    /// after each publish, and published snapshots are immutable, so the
+    /// handle is valid whatever a panicking mutation left behind. Every
+    /// mutation still gets `503`.
+    pub(crate) fn connection_handle(&self) -> QueryHandle<u64> {
+        self.backend
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .query_handle()
     }
 }

@@ -619,3 +619,89 @@ fn window_param_is_rejected_outside_windowed_mode() {
     // A plain /topk still works.
     assert_eq!(client.get("/topk?n=3").0, 200);
 }
+
+/// Released snapshots are freed once superseded: neither the idle handler
+/// thread nor the serving connection's handle may keep epoch 1's snapshot
+/// alive after later releases (each snapshot is a full copy of the
+/// cumulative estimates).
+#[test]
+fn idle_handlers_do_not_pin_released_snapshots() {
+    let server = start_server(2, 10);
+    let mut client = Client::connect(server.addr());
+    let body = ingest_body_of(&[1, 1, 2, 3, 5, 8]);
+    let release = |client: &mut Client| {
+        assert_eq!(client.post("/ingest", &body).0, 200);
+        assert_eq!(client.post("/epoch/end", "").0, 200);
+    };
+    release(&mut client);
+    let epoch_1 = {
+        let snapshot = server.state().query_handle().unwrap().snapshot();
+        assert_eq!(snapshot.epoch, 1);
+        std::sync::Arc::downgrade(&snapshot)
+    };
+    for _ in 0..50 {
+        release(&mut client);
+    }
+    assert!(
+        epoch_1.upgrade().is_none(),
+        "epoch 1's snapshot is still alive after 50 later releases"
+    );
+    let (status, body) = client.get("/epoch");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"epoch\":51"), "{body}");
+    assert!(epoch_1.upgrade().is_none());
+}
+
+/// A keep-alive connection that sends nothing moves its handle forward on
+/// its idle polls, so releases served on another connection are freed.
+#[test]
+fn a_quiet_connection_does_not_pin_released_snapshots() {
+    let server = start_server(2, 10);
+    let mut quiet = Client::connect(server.addr());
+    assert_eq!(quiet.get("/epoch").0, 200);
+    let mut busy = Client::connect(server.addr());
+    let body = ingest_body_of(&[7, 7, 9]);
+    assert_eq!(busy.post("/ingest", &body).0, 200);
+    assert_eq!(busy.post("/epoch/end", "").0, 200);
+    let epoch_1 = std::sync::Arc::downgrade(&server.state().query_handle().unwrap().snapshot());
+    for _ in 0..10 {
+        assert_eq!(busy.post("/ingest", &body).0, 200);
+        assert_eq!(busy.post("/epoch/end", "").0, 200);
+    }
+    // The quiet connection polls every `poll_interval` (100 ms).
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while epoch_1.upgrade().is_some() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a connection idle through 10 releases still pins epoch 1's snapshot"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    assert_eq!(quiet.get("/epoch").0, 200);
+}
+
+/// A handler that panics holding the service lock poisons it: mutations
+/// then get 503, while reads, on new connections too, are still answered
+/// from the immutable released snapshots.
+#[test]
+fn reads_are_served_on_new_connections_after_the_state_is_poisoned() {
+    let server = start_server(2, 10);
+    let mut client = Client::connect(server.addr());
+    assert_eq!(client.post("/ingest", &ingest_body_of(&[4, 4, 4])).0, 200);
+    assert_eq!(client.post("/epoch/end", "").0, 200);
+    drop(client);
+    let state = std::sync::Arc::clone(server.state());
+    let panicked = std::thread::spawn(move || {
+        let _backend = state.backend().unwrap();
+        panic!("handler dies mid-mutation");
+    })
+    .join();
+    assert!(panicked.is_err());
+
+    let mut client = Client::connect(server.addr());
+    let (status, body) = client.get("/epoch");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"epoch\":1"), "{body}");
+    assert_eq!(client.get("/topk?n=3").0, 200);
+    assert_eq!(client.post("/ingest", &ingest_body_of(&[1])).0, 503);
+}

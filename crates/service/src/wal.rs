@@ -26,13 +26,17 @@
 //! 3. **Replay.** Recovery decodes the newest checkpoint (reject — never
 //!    guess — on any checksum, version, or invariant failure), rebuilds the
 //!    service around it, and re-applies WAL records from the checkpoint's
-//!    `wal_seq` on. A torn tail — a half-written record at the end of the
-//!    final segment — stops replay at the last valid record, exactly the
-//!    durable prefix, and recovery then **truncates the segment to that
-//!    prefix** (a header that never became durable removes the file), so
-//!    the segment replays cleanly on every later recovery even once it is
-//!    no longer final. Corruption anywhere *before* the tail is refused
-//!    outright.
+//!    `wal_seq` on. Each segment is read through a fixed 64 KiB buffer one
+//!    record at a time, and each record is applied as it is read, so
+//!    recovery memory is the read buffer plus the largest record, however
+//!    long the log; a record is never allocated before its declared length
+//!    is checked against the bytes the file has left. A torn tail — a
+//!    half-written record at the end of the final segment — stops replay
+//!    at the last valid record, exactly the durable prefix, and recovery
+//!    then **truncates the segment to that prefix** (a header that never
+//!    became durable removes the file), so the segment replays cleanly on
+//!    every later recovery even once it is no longer final. Corruption
+//!    anywhere *before* the tail is refused outright.
 //!
 //! Replay mirrors live error behaviour: budget refusals
 //! (`ServiceError::Release`) and horizon exhaustion during replay are
@@ -59,7 +63,7 @@ use dpmg_core::mechanism::ReleaseMechanism;
 use dpmg_noise::accounting::{Accountant, PrivacyParams};
 use dpmg_sketch::serialize::{Checksum, Reader, Writer};
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -77,6 +81,9 @@ const RECORD_RESHARD: u8 = 2;
 /// The largest `Items` group one record can frame: the `u32` length field
 /// covers the kind byte, the item count and 8 bytes per item.
 const MAX_GROUP_ITEMS: usize = (u32::MAX as usize - 1 - 8) / 8;
+
+/// Bytes replay reads from a segment file at a time.
+const REPLAY_READ_BUFFER: usize = 64 * 1024;
 
 const SEGMENT_EXT: &str = "dpwl";
 const CHECKPOINT_EXT: &str = "dpck";
@@ -160,7 +167,8 @@ pub struct RecoveryReport {
 
 /// One decoded WAL record.
 enum WalRecord {
-    Items(Vec<u64>),
+    /// An item group, decoded into the caller's reused items buffer.
+    Items,
     EpochEnd,
     Reshard(usize),
 }
@@ -236,10 +244,11 @@ impl DurableService {
     /// no prior state the directory is initialised and a fresh service
     /// starts at WAL segment 0. With prior state, the newest checkpoint is
     /// decoded — any corruption or version mismatch is refused, never
-    /// guessed around — and the WAL is replayed per the module docs; the
-    /// report's [`RecoveryReport::open_epoch`] is then
-    /// [`OpenEpochStatus::Replayed`] with the reconstructed open-epoch
-    /// item count.
+    /// guessed around — and the WAL is replayed per the module docs, one
+    /// record at a time: recovery holds a 64 KiB read buffer plus one
+    /// record, not the log since the checkpoint. The report's
+    /// [`RecoveryReport::open_epoch`] is then [`OpenEpochStatus::Replayed`]
+    /// with the reconstructed open-epoch item count.
     ///
     /// `config`, `budget`, and `seed` must match the original service:
     /// `k`, `epoch_len`, and the budget are validated against the
@@ -350,8 +359,7 @@ impl DurableService {
         let mut reuse_seq = None;
         for (idx, (seq, path)) in replay.iter().enumerate() {
             let is_last = idx + 1 == replay.len();
-            let bytes = fs::read(path)?;
-            let outcome = replay_segment(&mut inner, &bytes, *seq)?;
+            let outcome = replay_segment(&mut inner, path, *seq)?;
             items_replayed += outcome.items;
             if outcome.torn {
                 if !is_last {
@@ -365,9 +373,9 @@ impl DurableService {
                 // Repair: cut the tail down to its valid prefix so this
                 // segment replays cleanly on every later recovery, even
                 // once it is no longer the final one.
-                if outcome.valid_len >= SEGMENT_HEADER_LEN {
+                if outcome.valid_len >= SEGMENT_HEADER_LEN as u64 {
                     let file = OpenOptions::new().write(true).open(path)?;
-                    file.set_len(outcome.valid_len as u64)?;
+                    file.set_len(outcome.valid_len)?;
                     if durability.sync_writes {
                         file.sync_all()?;
                     }
@@ -811,41 +819,62 @@ struct SegmentReplay {
     torn: bool,
     /// Bytes of valid prefix (header plus every checksum-clean record) —
     /// the truncation point when the tail is torn.
-    valid_len: usize,
+    valid_len: u64,
 }
 
-/// Replays one segment's valid prefix into `service`. Returns how far it
-/// got; `torn` flags an invalid header or record, after which the caller
-/// decides (tail of the final segment: repairable; earlier: corruption).
+/// Replays one segment's valid prefix into `service`, one record at a
+/// time: each record is read into one reused buffer, once its declared
+/// length fits in the bytes the file has left, and applied before the next
+/// is read. Returns how far it got; `torn` flags an invalid header or
+/// record, after which the caller decides (tail of the final segment:
+/// repairable; earlier: corruption).
 fn replay_segment(
     service: &mut DpmgService<u64>,
-    bytes: &[u8],
+    path: &Path,
     expected_seq: u64,
 ) -> Result<SegmentReplay, ServiceError> {
+    let file = File::open(path)?;
+    let mut left = file.metadata()?.len();
+    let mut input = BufReader::with_capacity(REPLAY_READ_BUFFER, file);
     let mut replay = SegmentReplay {
         items: 0,
         torn: true,
         valid_len: 0,
     };
+    let mut frame = Vec::new();
     // A header that is short or fails its checksum never became durable.
-    let Some(header) = bytes.get(..SEGMENT_HEADER_LEN) else {
+    if !read_more(&mut input, &mut left, SEGMENT_HEADER_LEN as u64, &mut frame)? {
         return Ok(replay);
-    };
-    let Ok(header) = unseal_wal(header) else {
+    }
+    let Ok(header) = unseal_wal(&frame) else {
         return Ok(replay);
     };
     check_segment_header(header, expected_seq, service.config().k)
         .map_err(ServiceError::Persistence)?;
 
-    let mut rest = &bytes[SEGMENT_HEADER_LEN..];
     replay.torn = false;
-    while !rest.is_empty() {
-        let Ok(record) = next_record(&mut rest) else {
+    replay.valid_len = SEGMENT_HEADER_LEN as u64;
+    let mut items = Vec::new();
+    while left > 0 {
+        // The length field, then the rest of the frame it declares.
+        frame.clear();
+        if !read_more(&mut input, &mut left, 4, &mut frame)? {
+            replay.torn = true;
+            break;
+        }
+        let payload_len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
+        let rest = u64::from(payload_len) + 8; // the payload, then the checksum
+        if !read_more(&mut input, &mut left, rest, &mut frame)? {
+            replay.torn = true;
+            break;
+        }
+        let Ok(record) = next_record(&mut frame.as_slice(), &mut items) else {
             replay.torn = true;
             break;
         };
+        replay.valid_len += frame.len() as u64;
         match record {
-            WalRecord::Items(items) => {
+            WalRecord::Items => {
                 replay.items += items.len() as u64;
                 apply_items(service, &items)?;
             }
@@ -861,8 +890,28 @@ fn replay_segment(
             },
         }
     }
-    replay.valid_len = bytes.len() - rest.len();
     Ok(replay)
+}
+
+/// Appends the next `len` bytes of `input` to `buf`, where `left` counts
+/// the bytes the file has left. Returns `false`, reading and allocating
+/// nothing, when fewer than `len` are left: a length the file cannot hold
+/// is a torn tail, not a buffer to request.
+fn read_more(
+    input: &mut impl Read,
+    left: &mut u64,
+    len: u64,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<bool> {
+    if len > *left {
+        return Ok(false);
+    }
+    let start = buf.len();
+    let end = start + usize::try_from(len).map_err(std::io::Error::other)?;
+    buf.resize(end, 0);
+    input.read_exact(&mut buf[start..])?;
+    *left -= len;
+    Ok(true)
 }
 
 /// Verifies a sealed header or record's checksum and reads its body.
@@ -909,10 +958,11 @@ fn wal_record(kind: u8, body_len: usize) -> Result<Writer, ServiceError> {
     Ok(record)
 }
 
-/// Decodes the record at the front of `rest`, advancing past it. An error
-/// means the record is truncated, checksum-mismatched or malformed: the
-/// segment's valid prefix ends before it.
-fn next_record(rest: &mut &[u8]) -> Result<WalRecord, &'static str> {
+/// Decodes the record at the front of `rest`, advancing past it; an
+/// `Items` record's group replaces the contents of `items`. An error means
+/// the record is truncated, checksum-mismatched or malformed: the segment's
+/// valid prefix ends before it.
+fn next_record(rest: &mut &[u8], items: &mut Vec<u64>) -> Result<WalRecord, &'static str> {
     let payload_len = Reader::new(rest, "wal record length truncated").u32()? as usize;
     let framed = payload_len
         .checked_add(4 + 8)
@@ -928,11 +978,12 @@ fn next_record(rest: &mut &[u8]) -> Result<WalRecord, &'static str> {
                 8,
                 "wal item count disagrees with the record length",
             )?;
-            let mut items = Vec::with_capacity(count);
+            items.clear();
+            items.reserve(count);
             for _ in 0..count {
                 items.push(r.u64()?);
             }
-            WalRecord::Items(items)
+            WalRecord::Items
         }
         RECORD_EPOCH_END => WalRecord::EpochEnd,
         RECORD_RESHARD => {
@@ -1126,6 +1177,99 @@ mod tests {
         record.seal(WAL_CHECKSUM)
     }
 
+    /// Ingests one flushed group per entry of `groups` into a fresh
+    /// service over `dir`, then drops it. Returns segment 0's path and the
+    /// offset of each group's record in it.
+    fn write_groups(dir: &Path, groups: &[u64]) -> (PathBuf, Vec<u64>) {
+        let (mut svc, _) = open(DurabilityConfig::new(dir)).unwrap();
+        let mut offsets = Vec::new();
+        let mut offset = SEGMENT_HEADER_LEN as u64;
+        for &n in groups {
+            offsets.push(offset);
+            svc.ingest_from(0..n).unwrap();
+            svc.flush().unwrap();
+            offset += items_record(&vec![0; n as usize]).len() as u64;
+        }
+        drop(svc);
+        let path = dir.join(artifact_name(SEGMENT_EXT, 0));
+        assert_eq!(fs::metadata(&path).unwrap().len(), offset);
+        (path, offsets)
+    }
+
+    /// `read_more` checks a length against the bytes left before it
+    /// touches the buffer or the input: a record declaring ~4 GiB in a
+    /// short file requests no buffer at all.
+    #[test]
+    fn read_more_refuses_a_length_the_file_cannot_hold_before_allocating() {
+        struct Unreadable;
+        impl Read for Unreadable {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                panic!("read_more read past its bytes-left check");
+            }
+        }
+        let mut left = 40;
+        let mut buf = Vec::new();
+        let declared = u64::from(u32::MAX - 3) + 8;
+        assert!(!read_more(&mut Unreadable, &mut left, declared, &mut buf).unwrap());
+        assert_eq!((left, buf.capacity()), (40, 0));
+        assert!(!read_more(&mut Unreadable, &mut left, 41, &mut buf).unwrap());
+        assert_eq!((left, buf.capacity()), (40, 0));
+        let mut input: &[u8] = &[7; 40];
+        assert!(read_more(&mut input, &mut left, 40, &mut buf).unwrap());
+        assert_eq!((left, buf), (0, vec![7; 40]));
+    }
+
+    /// The final segment's last record declares a ~4 GiB payload the file
+    /// cannot hold: recovery reports a torn tail, truncates to the valid
+    /// prefix and opens.
+    #[test]
+    fn a_record_declaring_more_than_the_file_holds_is_a_torn_tail() {
+        let dir = TempDir::new("huge-length");
+        let (path, _) = write_groups(&dir.0, &[10, 20]);
+        let valid_len = fs::metadata(&path).unwrap().len();
+        let mut tail = (u32::MAX - 3).to_le_bytes().to_vec();
+        tail.push(RECORD_ITEMS);
+        tail.extend_from_slice(&[0xAB; 64]);
+        OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap()
+            .write_all(&tail)
+            .unwrap();
+
+        let (recovered, report) = open(DurabilityConfig::new(&dir.0)).unwrap();
+        assert!(report.torn_tail);
+        assert_eq!(report.items_replayed, 30);
+        assert_eq!(recovered.open_epoch_items(), 30);
+        drop(recovered);
+        assert_eq!(fs::metadata(&path).unwrap().len(), valid_len);
+    }
+
+    /// A record whose declared length fits in the file but whose checksum
+    /// fails is torn at its own offset: it and everything after it in the
+    /// final segment are cut, and the next recovery is clean.
+    #[test]
+    fn a_record_that_fits_but_fails_its_checksum_is_torn_at_its_own_offset() {
+        let dir = TempDir::new("bad-checksum");
+        let (path, offsets) = write_groups(&dir.0, &[10, 20, 30]);
+        let mut bytes = fs::read(&path).unwrap();
+        // An item byte of the second record: its length field is intact.
+        bytes[offsets[1] as usize + 4 + 1 + 8 + 3] ^= 0x40;
+        fs::write(&path, &bytes).unwrap();
+
+        let (recovered, report) = open(DurabilityConfig::new(&dir.0)).unwrap();
+        assert!(report.torn_tail);
+        assert_eq!(report.items_replayed, 10);
+        assert_eq!(recovered.open_epoch_items(), 10);
+        drop(recovered);
+        assert_eq!(fs::metadata(&path).unwrap().len(), offsets[1]);
+
+        let (recovered, report) = open(DurabilityConfig::new(&dir.0)).unwrap();
+        assert!(!report.torn_tail);
+        assert_eq!(report.items_replayed, 10);
+        assert_eq!(recovered.open_epoch_items(), 10);
+    }
+
     #[test]
     fn corruption_suite_dpwl_header() {
         let svc = DpmgService::new(
@@ -1151,7 +1295,7 @@ mod tests {
     fn corruption_suite_dpwl_records() {
         let one_record = |bytes: &[u8]| {
             let mut rest = bytes;
-            let record = next_record(&mut rest)?;
+            let record = next_record(&mut rest, &mut Vec::new())?;
             if rest.is_empty() {
                 Ok(record)
             } else {
