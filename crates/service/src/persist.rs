@@ -75,7 +75,8 @@ impl DpmgService<u64> {
     /// persisted remaining budget, and a fresh (empty) epoch opens for
     /// ingestion. Fresh releases draw from `seed` — noise is never reused
     /// across a restart. The epoch **transcript restarts empty** (its
-    /// pre-noise inputs are not persisted; see the module docs), while
+    /// pre-noise inputs are not persisted; see the module docs) and then
+    /// keeps the last 16 releases like any service's, while
     /// `completed_epochs` and subsequent epoch numbering continue
     /// absolutely from the persisted count.
     ///

@@ -184,7 +184,9 @@ impl<K: Item> SequentialServiceReference<K> {
         self.core.completed_epochs()
     }
 
-    /// The epoch transcript.
+    /// The trusted record of the last 16 epochs, oldest first; read each
+    /// entry's `epoch`, since the oldest is evicted from the 17th release
+    /// on (see [`DpmgService::transcript`](crate::DpmgService::transcript)).
     pub fn transcript(&self) -> &[EpochRelease<K>] {
         self.core.transcript()
     }

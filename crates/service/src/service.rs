@@ -14,13 +14,14 @@ use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// The public record of one completed epoch.
+/// The trusted record of one completed epoch (DESIGN.md §1): only
+/// `histogram` is released output.
 ///
 /// `pre_noise` is the release *input* (the epoch's merged summary) — it is
 /// **not** private and exists for error accounting and the statistical
 /// regression suite, exactly like
 /// [`ShardedPipeline::merged`](dpmg_pipeline::ShardedPipeline::merged);
-/// do not ship it across a privacy boundary.
+/// do not ship a record across a privacy boundary.
 #[derive(Debug, Clone)]
 pub struct EpochRelease<K: Item> {
     /// Epoch index, 1-based.
@@ -56,6 +57,12 @@ pub enum OpenEpochStatus {
     },
 }
 
+/// How many release records [`EpochCore`] keeps, oldest first. At least
+/// the most any reader in the workspace reads back (5), and small enough
+/// that the pre-noise state a serving process holds is O(16·k), not
+/// O(k·epochs).
+const TRANSCRIPT_RELEASES: usize = 16;
+
 /// Which release engine the mode compiled to.
 enum Engine<K: Item> {
     Independent {
@@ -76,7 +83,8 @@ enum Engine<K: Item> {
 }
 
 /// Everything below the ingestion engine: per-epoch release, budget
-/// accounting, cumulative estimates, and the epoch transcript. Shared
+/// accounting, cumulative estimates, and the last
+/// [`TRANSCRIPT_RELEASES`] epoch records. Shared
 /// verbatim by [`DpmgService`] and
 /// [`SequentialServiceReference`](crate::SequentialServiceReference) so the
 /// differential tests compare exactly the ingestion paths.
@@ -88,6 +96,8 @@ pub(crate) struct EpochCore<K: Item> {
     cumulative: BTreeMap<K, f64>,
     completed_epochs: u64,
     released_items: u64,
+    /// The last ≤ [`TRANSCRIPT_RELEASES`] releases, oldest first; each
+    /// release evicts the oldest once it is full.
     transcript: Vec<EpochRelease<K>>,
     /// An epoch rotated out of the ingestion engine whose release failed
     /// (e.g. a calibration error); retried by the next `end_epoch`.
@@ -244,7 +254,7 @@ impl<K: Item> EpochCore<K> {
         &mut self,
         rotate: impl FnOnce() -> Result<(Summary<K>, u64), ServiceError>,
     ) -> Result<ReleasedSnapshot<K>, ServiceError> {
-        match &mut self.engine {
+        let (items, pre_noise, histogram) = match &mut self.engine {
             Engine::Independent { mechanism } => {
                 let price = mechanism.privacy();
                 if !self.accountant.can_afford(price) {
@@ -277,14 +287,7 @@ impl<K: Item> EpochCore<K> {
                 for (key, value) in histogram.iter() {
                     *self.cumulative.entry(key.clone()).or_insert(0.0) += value;
                 }
-                self.completed_epochs += 1;
-                self.released_items += items;
-                self.transcript.push(EpochRelease {
-                    epoch: self.completed_epochs,
-                    items,
-                    pre_noise: merged,
-                    histogram,
-                });
+                (items, merged, histogram)
             }
             Engine::Continual { tree, max_epochs } => {
                 if tree.completed_epochs() >= *max_epochs {
@@ -301,16 +304,8 @@ impl<K: Item> EpochCore<K> {
                     self.pending = Some((merged, items));
                     return Err(e.into());
                 }
-                self.completed_epochs += 1;
-                self.released_items += items;
                 // The level-0 node released this epoch covers exactly it.
                 let epoch_node = tree.transcript()[nodes_before].histogram.clone();
-                self.transcript.push(EpochRelease {
-                    epoch: self.completed_epochs,
-                    items,
-                    pre_noise: merged,
-                    histogram: epoch_node,
-                });
                 // Cumulative answers come from the open dyadic nodes.
                 self.cumulative = tree
                     .candidate_keys()
@@ -320,6 +315,7 @@ impl<K: Item> EpochCore<K> {
                         (key, est)
                     })
                     .collect();
+                (items, merged, epoch_node)
             }
             Engine::Windowed {
                 mechanism,
@@ -347,8 +343,8 @@ impl<K: Item> EpochCore<K> {
                 while window.len() as u64 > *window_epochs {
                     window.pop_front();
                 }
-                let summaries: Vec<Summary<K>> = window.iter().map(|(s, _)| s.clone()).collect();
-                let merged = merge_many(&summaries).expect("window holds the epoch just pushed");
+                let merged = merge_many(window.iter().map(|(s, _)| s))
+                    .expect("window holds the epoch just pushed");
                 let histogram = match release_metered(
                     mechanism.as_ref(),
                     &merged,
@@ -370,16 +366,20 @@ impl<K: Item> EpochCore<K> {
                     .iter()
                     .map(|(key, value)| (key.clone(), value))
                     .collect();
-                self.completed_epochs += 1;
-                self.released_items += items;
-                self.transcript.push(EpochRelease {
-                    epoch: self.completed_epochs,
-                    items,
-                    pre_noise: merged,
-                    histogram,
-                });
+                (items, merged, histogram)
             }
+        };
+        self.completed_epochs += 1;
+        self.released_items += items;
+        if self.transcript.len() == TRANSCRIPT_RELEASES {
+            self.transcript.remove(0);
         }
+        self.transcript.push(EpochRelease {
+            epoch: self.completed_epochs,
+            items,
+            pre_noise,
+            histogram,
+        });
         Ok(ReleasedSnapshot {
             epoch: self.completed_epochs,
             items: self.released_items,
@@ -540,12 +540,14 @@ impl<K: Item + Send + 'static> DpmgService<K> {
         self.pipeline.stats()
     }
 
-    /// The public record of completed epochs (see [`EpochRelease`] for
-    /// the privacy status of its fields). Covers every epoch **since this
-    /// process started**: a service rebuilt via `restore` begins with an
-    /// empty transcript — pre-noise epoch inputs are deliberately not
-    /// persisted, and the restore hands back
-    /// [`OpenEpochStatus::OpenEpochLost`] so the caller knows any open
+    /// The trusted record of the last 16 completed epochs, oldest first
+    /// (see [`EpochRelease`] for the privacy status of its fields). Each
+    /// release past the 16th evicts the oldest record, so `transcript()[i]`
+    /// is epoch `i + 1` only until then: read the `epoch` field. Only
+    /// epochs released **since this process started** appear: a service
+    /// rebuilt via `restore` begins with an empty transcript — pre-noise
+    /// epoch inputs are deliberately not persisted, and the restore hands
+    /// back [`OpenEpochStatus::OpenEpochLost`] so the caller knows any open
     /// epoch died with the crash — while [`Self::completed_epochs`] and the
     /// `epoch` fields of later entries keep counting absolutely across the
     /// restart. A [`crate::DurableService`] recovery replays post-restart

@@ -87,6 +87,7 @@ const REPLAY_READ_BUFFER: usize = 64 * 1024;
 
 const SEGMENT_EXT: &str = "dpwl";
 const CHECKPOINT_EXT: &str = "dpck";
+const TMP_EXT: &str = "tmp";
 
 /// Durability knobs for [`DurableService`].
 #[derive(Debug, Clone)]
@@ -290,16 +291,16 @@ impl DurableService {
             ));
         }
         fs::create_dir_all(&durability.dir)?;
+        let DirScan {
+            segments,
+            checkpoints,
+            tmp,
+        } = DirScan::new(&durability.dir)?;
         // Sweep checkpoint tmp files orphaned by a crash between create
-        // and rename: never valid recovery inputs, never GC'd by name.
-        for entry in fs::read_dir(&durability.dir)? {
-            let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) == Some("tmp") {
-                let _ = fs::remove_file(&path);
-            }
+        // and rename: never valid recovery inputs, whatever their name.
+        for (_, path) in tmp {
+            let _ = fs::remove_file(&path);
         }
-        let segments = scan_dir(&durability.dir, SEGMENT_EXT)?;
-        let checkpoints = scan_dir(&durability.dir, CHECKPOINT_EXT)?;
 
         let checkpoint = match checkpoints.last() {
             Some((_, path)) => Some(
@@ -478,8 +479,10 @@ impl DurableService {
         self.inner.top_k(n)
     }
 
-    /// The epoch transcript since this process started (replayed epochs
-    /// included).
+    /// The trusted record of the last 16 epochs released since this
+    /// process started (replayed epochs included), oldest first; read each
+    /// entry's `epoch`, since the oldest is evicted from the 17th release
+    /// on (see [`DpmgService::transcript`]).
     pub fn transcript(&self) -> &[EpochRelease<u64>] {
         self.inner.transcript()
     }
@@ -654,7 +657,7 @@ impl DurableService {
             .durability
             .dir
             .join(artifact_name(CHECKPOINT_EXT, next_seq));
-        let tmp_path = final_path.with_extension("tmp");
+        let tmp_path = final_path.with_extension(TMP_EXT);
         {
             let mut tmp = File::create(&tmp_path)?;
             tmp.write_all(&bytes)?;
@@ -717,14 +720,17 @@ impl DurableService {
     /// strictly older than `keep_seq`. Best-effort: a file already gone is
     /// fine.
     fn garbage_collect(&self, keep_seq: u64) -> Result<(), ServiceError> {
-        for ext in [SEGMENT_EXT, CHECKPOINT_EXT, "tmp"] {
-            for (seq, path) in scan_dir(&self.durability.dir, ext)? {
-                if seq < keep_seq {
-                    match fs::remove_file(&path) {
-                        Ok(()) => {}
-                        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                        Err(e) => return Err(e.into()),
-                    }
+        let scan = DirScan::new(&self.durability.dir)?;
+        let tmp = scan
+            .tmp
+            .into_iter()
+            .filter_map(|(seq, path)| Some((seq?, path)));
+        for (seq, path) in scan.segments.into_iter().chain(scan.checkpoints).chain(tmp) {
+            if seq < keep_seq {
+                match fs::remove_file(&path) {
+                    Ok(()) => {}
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                    Err(e) => return Err(e.into()),
                 }
             }
         }
@@ -1010,28 +1016,51 @@ fn artifact_name(ext: &str, seq: u64) -> String {
     format!("{stem}-{seq:020}.{ext}")
 }
 
-/// All `{stem}-{seq}.{ext}` files under `dir`, sorted by sequence number.
-/// Foreign files (tmp leftovers, other extensions) are ignored.
-fn scan_dir(dir: &Path, ext: &str) -> Result<Vec<(u64, PathBuf)>, ServiceError> {
-    let mut found = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.extension().and_then(|e| e.to_str()) != Some(ext) {
-            continue;
+/// One `read_dir` pass over a durability directory, sorted by kind and
+/// then by sequence number. Foreign files (other extensions, or a segment
+/// or checkpoint whose name has no `-{seq}`) are ignored.
+struct DirScan {
+    /// `wal-{seq}.dpwl` files.
+    segments: Vec<(u64, PathBuf)>,
+    /// `checkpoint-{seq}.dpck` files.
+    checkpoints: Vec<(u64, PathBuf)>,
+    /// Every `.tmp` file (a checkpoint orphaned between create and
+    /// rename), with the sequence number its name carries, if any.
+    tmp: Vec<(Option<u64>, PathBuf)>,
+}
+
+impl DirScan {
+    fn new(dir: &Path) -> Result<Self, ServiceError> {
+        let mut scan = Self {
+            segments: Vec::new(),
+            checkpoints: Vec::new(),
+            tmp: Vec::new(),
+        };
+        for entry in fs::read_dir(dir)? {
+            let path = entry?.path();
+            let seq = path
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .and_then(|name| name.rsplit_once('-'))
+                .and_then(|(_, seq)| seq.parse::<u64>().ok());
+            let kind = match path.extension().and_then(|e| e.to_str()) {
+                Some(SEGMENT_EXT) => &mut scan.segments,
+                Some(CHECKPOINT_EXT) => &mut scan.checkpoints,
+                Some(TMP_EXT) => {
+                    scan.tmp.push((seq, path));
+                    continue;
+                }
+                _ => continue,
+            };
+            if let Some(seq) = seq {
+                kind.push((seq, path));
+            }
         }
-        let Some(name) = path.file_stem().and_then(|s| s.to_str()) else {
-            continue;
-        };
-        let Some(seq) = name
-            .rsplit_once('-')
-            .and_then(|(_, seq)| seq.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        found.push((seq, path));
+        scan.segments.sort_unstable_by_key(|(seq, _)| *seq);
+        scan.checkpoints.sort_unstable_by_key(|(seq, _)| *seq);
+        scan.tmp.sort_unstable_by_key(|(seq, _)| *seq);
+        Ok(scan)
     }
-    found.sort_unstable_by_key(|(seq, _)| *seq);
-    Ok(found)
 }
 
 #[cfg(test)]

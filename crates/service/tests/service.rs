@@ -6,7 +6,9 @@ use dpmg_core::mechanism::{
     ReleaseMechanism, SensitivityModel,
 };
 use dpmg_noise::accounting::PrivacyParams;
-use dpmg_service::{DpmgService, ServiceConfig, ServiceError, ServiceMode};
+use dpmg_service::{
+    DpmgService, EpochRelease, SequentialServiceReference, ServiceConfig, ServiceError, ServiceMode,
+};
 
 fn params() -> PrivacyParams {
     PrivacyParams::new(0.5, 1e-8).unwrap()
@@ -72,6 +74,39 @@ fn explicit_ticks_and_cumulative_queries() {
     assert_eq!(svc.transcript().len(), 4);
     assert_eq!(svc.transcript()[2].epoch, 3);
     assert_eq!(svc.transcript()[2].items, 60_000);
+}
+
+#[test]
+fn transcript_keeps_the_last_16_releases_oldest_first() {
+    let releases = 16 + 5;
+    let epochs = |transcript: &[EpochRelease<u64>]| -> Vec<u64> {
+        transcript.iter().map(|release| release.epoch).collect()
+    };
+    for mode in [
+        ServiceMode::Independent,
+        ServiceMode::Continual { max_epochs: 32 },
+        ServiceMode::Windowed { window_epochs: 3 },
+    ] {
+        let config = ServiceConfig::new(2, 16).with_mode(mode);
+        let mut svc = DpmgService::new(config, laplace_mech(), big_budget(), 5).unwrap();
+        let mut oracle =
+            SequentialServiceReference::new(config, laplace_mech(), big_budget(), 5).unwrap();
+        for _ in 0..releases {
+            svc.ingest_from(stream(1_000)).unwrap();
+            oracle.ingest_from(stream(1_000)).unwrap();
+            svc.end_epoch().unwrap();
+            oracle.end_epoch().unwrap();
+        }
+        let completed = svc.completed_epochs();
+        assert_eq!(completed, releases, "{mode:?}");
+        assert_eq!(oracle.completed_epochs(), releases, "{mode:?}");
+        let last_16: Vec<u64> = (completed - 15..=completed).collect();
+        assert_eq!(svc.transcript().len(), 16, "{mode:?}");
+        assert_eq!(epochs(svc.transcript()), last_16, "{mode:?}");
+        assert_eq!(oracle.transcript().len(), 16, "{mode:?}");
+        assert_eq!(epochs(oracle.transcript()), last_16, "{mode:?}");
+        assert!(svc.transcript().iter().all(|r| r.items == 1_000));
+    }
 }
 
 #[test]

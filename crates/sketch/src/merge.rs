@@ -77,14 +77,18 @@ pub fn merge<K: Item>(a: &Summary<K>, b: &Summary<K>) -> Summary<K> {
 }
 
 /// Left-fold merge of many summaries (any fixed order is valid; Section 7's
-/// guarantees are order-independent).
+/// guarantees are order-independent). Takes any iterator of references, so
+/// a caller holding its summaries elsewhere (a window ring, say) merges
+/// them without copying; `&Vec<_>`, `&[_]` and `&[_; N]` all qualify.
 ///
 /// Returns `None` for an empty input.
-pub fn merge_many<K: Item>(summaries: &[Summary<K>]) -> Option<Summary<K>> {
-    let (first, rest) = summaries.split_first()?;
-    let mut acc = first.clone();
+pub fn merge_many<'a, K: Item + 'a>(
+    summaries: impl IntoIterator<Item = &'a Summary<K>>,
+) -> Option<Summary<K>> {
+    let mut summaries = summaries.into_iter();
+    let mut acc = summaries.next()?.clone();
     acc.entries.retain(|_, c| *c > 0);
-    for s in rest {
+    for s in summaries {
         acc = merge(&acc, s);
     }
     Some(acc)

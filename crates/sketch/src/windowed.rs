@@ -129,9 +129,9 @@ impl<K: Item> WindowedMisraGries<K> {
     /// window. This is a Corollary 18 merged summary — release it only
     /// through `MergedOneSided`-calibrated mechanisms.
     pub fn summary(&self) -> Summary<K> {
-        let mut summaries: Vec<Summary<K>> = self.sealed.iter().map(|(s, _)| s.clone()).collect();
-        summaries.push(self.current.summary());
-        merge_many(&summaries).expect("window always holds the open block")
+        let open = self.current.summary();
+        merge_many(self.sealed.iter().map(|(s, _)| s).chain([&open]))
+            .expect("window always holds the open block")
     }
 
     /// Window estimate of `x` (from the merged window summary).
